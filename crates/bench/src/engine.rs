@@ -17,6 +17,14 @@
 //!   `std::thread::available_parallelism`. Results are ordered by job
 //!   index, never by completion order, so output is reproducible on any
 //!   machine at any parallelism.
+//! * **Lock-step lanes** — before its per-job pass, [`Engine::run`]
+//!   groups the jobs still to run, with any baseline not yet built, by
+//!   `(benchmark, code layout)`: the fetch scheme and cache geometry
+//!   change timing and energy, never architecture (the paper's §4), so
+//!   each group is one guest execution timing every member as a lane
+//!   ([`wp_core::measure_lanes`]). The results fill the baseline cells
+//!   and per-job slots the per-job pass then consumes, so failure
+//!   handling, retries, journal events and checkpoints stay per job.
 //! * **Structured failures** — a failing job surfaces as a
 //!   [`JobFailure`] inside [`SuiteReport::failures`] while every other
 //!   job still completes; nothing panics and no result is lost. Panics
@@ -56,11 +64,13 @@ use wp_obs::metrics::{Counter as ObsCounter, Gauge as ObsGauge, Histogram as Obs
 use wp_obs::Obs;
 use wp_trace::SpanCollector;
 
+use wp_core::wp_linker::Layout;
 use wp_core::wp_mem::CacheGeometry;
 use wp_core::wp_sim::SimError;
 use wp_core::wp_workloads::{Benchmark, InputSet};
 use wp_core::{
-    measure_with, CoreError, MeasureOptions, MeasureTiming, Measurement, Scheme, Workbench,
+    measure_lanes, measure_with, CoreError, MeasureOptions, MeasureTiming, Measurement, Scheme,
+    Workbench,
 };
 
 use crate::json::Json;
@@ -493,6 +503,32 @@ impl SuiteReport {
 }
 
 type Cached<T> = Arc<OnceLock<Result<Arc<T>, SharedError>>>;
+
+/// One flattened job: its index in the experiment, then what it
+/// measures.
+type Job = (usize, Benchmark, CacheGeometry, Scheme);
+
+/// A job's measurement from the lane pass, waiting for its per-job
+/// pass to take it.
+type Prepared = Mutex<Option<Result<Arc<Measurement>, SharedError>>>;
+
+/// Where a lane's measurement goes.
+#[derive(Clone, Copy, Debug)]
+enum LaneTarget {
+    /// The shared baseline cell of the lane's geometry.
+    Baseline,
+    /// The prepared slot of this job index.
+    Job(usize),
+}
+
+/// One pool task of the lane pass: a single execution of `benchmark`
+/// under `layout`, timing every lane.
+#[derive(Debug)]
+struct LaneGroup {
+    benchmark: Benchmark,
+    layout: Layout,
+    lanes: Vec<(CacheGeometry, Scheme, LaneTarget)>,
+}
 
 /// Fault-injection hook: inspects a job before it is measured and may
 /// force a [`CoreError`]. Test-support for exercising the structured
@@ -1016,22 +1052,11 @@ impl Engine {
             match measured {
                 Ok((measurement, timing)) => {
                     self.add_measure_timing(&timing);
-                    if let (Some(obs), Some(m)) = (&self.obs, &self.metrics) {
-                        m.baseline_builds.inc();
-                        obs.accounts.charge(
-                            benchmark.name(),
-                            &Scheme::Baseline.label(),
-                            "baseline",
-                            Usage {
-                                wall_ns: (timing.link + timing.simulate + timing.price).as_nanos()
-                                    as u64,
-                                cycles: measurement.run.cycles,
-                                fetches: measurement.run.fetch.fetches,
-                                energy_pj: measurement.energy.icache_pj(),
-                                ..Usage::default()
-                            },
-                        );
-                    }
+                    self.charge_baseline(
+                        benchmark,
+                        &measurement,
+                        timing.link + timing.simulate + timing.price,
+                    );
                     Ok(Arc::new(measurement))
                 }
                 Err(e) => Err(Arc::new(e)),
@@ -1041,6 +1066,145 @@ impl Engine {
             self.counters.baseline_hits.fetch_add(1, Ordering::Relaxed);
         }
         result.clone()
+    }
+
+    /// Counts and charges one built baseline to the armed metrics and
+    /// accounts (no-op when observability is off).
+    fn charge_baseline(&self, benchmark: Benchmark, measurement: &Measurement, wall: Duration) {
+        if let (Some(obs), Some(m)) = (&self.obs, &self.metrics) {
+            m.baseline_builds.inc();
+            obs.accounts.charge(
+                benchmark.name(),
+                &Scheme::Baseline.label(),
+                "baseline",
+                Usage {
+                    wall_ns: wall.as_nanos() as u64,
+                    cycles: measurement.run.cycles,
+                    fetches: measurement.run.fetch.fetches,
+                    energy_pj: measurement.energy.icache_pj(),
+                    ..Usage::default()
+                },
+            );
+        }
+    }
+
+    /// Memoises a baseline a lane group measured, with the accounting
+    /// [`Engine::baseline`] would have done building it. A cell some
+    /// other caller filled meanwhile keeps its value (both are the same
+    /// deterministic measurement).
+    fn publish_baseline(
+        &self,
+        key: (Benchmark, CacheGeometry, InputSet),
+        result: Result<Arc<Measurement>, SharedError>,
+        wall: Duration,
+    ) {
+        let cell = {
+            let mut map = lock(&self.baselines);
+            Arc::clone(map.entry(key).or_default())
+        };
+        let measured = result.as_ref().ok().map(Arc::clone);
+        if cell.set(result).is_ok() {
+            self.counters.baseline_builds.fetch_add(1, Ordering::Relaxed);
+            if let Some(measurement) = measured {
+                self.charge_baseline(key.0, &measurement, wall);
+            }
+        }
+    }
+
+    /// Groups the jobs still to run, with every baseline they need that
+    /// no cell holds yet, by `(benchmark, code layout)`, in first-seen
+    /// order. When there are fewer groups than workers, the largest
+    /// groups are halved into lane shards until every worker has one.
+    fn plan_lane_groups(&self, pending: &[Job], set: InputSet) -> Vec<LaneGroup> {
+        let mut groups: Vec<LaneGroup> = Vec::new();
+        let mut lane = |benchmark: Benchmark, geometry, scheme: Scheme, target| {
+            let layout = scheme.layout();
+            let at =
+                match groups.iter().position(|g| g.benchmark == benchmark && g.layout == layout) {
+                    Some(at) => at,
+                    None => {
+                        groups.push(LaneGroup { benchmark, layout, lanes: Vec::new() });
+                        groups.len() - 1
+                    }
+                };
+            groups[at].lanes.push((geometry, scheme, target));
+        };
+        let mut baselines: Vec<(Benchmark, CacheGeometry)> = Vec::new();
+        for &(index, benchmark, geometry, scheme) in pending {
+            if !baselines.contains(&(benchmark, geometry)) {
+                baselines.push((benchmark, geometry));
+                let built = lock(&self.baselines)
+                    .get(&(benchmark, geometry, set))
+                    .is_some_and(|cell| cell.get().is_some());
+                if !built {
+                    lane(benchmark, geometry, Scheme::Baseline, LaneTarget::Baseline);
+                }
+            }
+            if scheme != Scheme::Baseline {
+                lane(benchmark, geometry, scheme, LaneTarget::Job(index));
+            }
+        }
+        while groups.len() < self.workers {
+            let Some(largest) = groups
+                .iter_mut()
+                .filter(|group| group.lanes.len() > 1)
+                .max_by_key(|group| group.lanes.len())
+            else {
+                break;
+            };
+            let lanes = largest.lanes.split_off(largest.lanes.len() / 2);
+            let (benchmark, layout) = (largest.benchmark, largest.layout);
+            groups.push(LaneGroup { benchmark, layout, lanes });
+        }
+        groups
+    }
+
+    /// Runs one lane group and files each lane's measurement (or the
+    /// group's shared error) into its baseline cell or job slot. A
+    /// workbench failure is left for the per-job pass, which meets the
+    /// memoised error in its own phase. The watchdog allows the group
+    /// one job's limit per lane.
+    fn run_lane_group(&self, group: &LaneGroup, set: InputSet, prepared: &[Prepared]) {
+        let Ok(workbench) = self.catch_panic(|| self.workbench(group.benchmark)) else {
+            return;
+        };
+        let lanes: Vec<(CacheGeometry, Scheme)> =
+            group.lanes.iter().map(|&(geometry, scheme, _)| (geometry, scheme)).collect();
+        let mut options = self.measure_options(set);
+        if let Some(limit) = self.job_time_limit {
+            options = options.with_time_limit(limit.saturating_mul(lanes.len() as u32));
+        }
+        let started = Instant::now();
+        let measured =
+            self.catch_panic(|| measure_lanes(&workbench, &lanes, options).map_err(Arc::new));
+        if let Some(spans) = &self.spans {
+            spans.record(
+                format!("lanes:{}/{:?}", group.benchmark.name(), group.layout),
+                "measure",
+                started,
+                vec![
+                    ("lanes".into(), lanes.len().to_string()),
+                    ("ok".into(), measured.is_ok().to_string()),
+                ],
+            );
+        }
+        let (results, wall): (Vec<Result<Arc<Measurement>, SharedError>>, Duration) = match measured
+        {
+            Ok((measurements, timing)) => {
+                self.add_measure_timing(&timing);
+                let wall = (timing.link + timing.simulate + timing.price) / lanes.len() as u32;
+                (measurements.into_iter().map(|m| Ok(Arc::new(m))).collect(), wall)
+            }
+            Err(e) => (vec![Err(e); lanes.len()], Duration::ZERO),
+        };
+        for (&(geometry, _, target), result) in group.lanes.iter().zip(results) {
+            match target {
+                LaneTarget::Baseline => {
+                    self.publish_baseline((group.benchmark, geometry, set), result, wall);
+                }
+                LaneTarget::Job(index) => *lock(&prepared[index]) = Some(result),
+            }
+        }
     }
 
     /// Evicts cache cells that currently hold an `Err` for this job's
@@ -1129,7 +1293,7 @@ impl Engine {
         // Flattened deterministic job order: benchmark-major, then
         // geometry, then scheme — the order rows are reported in. The
         // index is the job's deterministic journal-ordering group.
-        let jobs: Vec<(usize, Benchmark, CacheGeometry, Scheme)> = experiment
+        let jobs: Vec<Job> = experiment
             .benchmarks
             .iter()
             .flat_map(|&b| {
@@ -1175,7 +1339,18 @@ impl Engine {
         });
 
         let set = experiment.input_set;
-        let outcomes = self.execute(&jobs, |&(index, benchmark, geometry, scheme)| {
+        // The lane pass: one execution per (benchmark, layout) group of
+        // the jobs still to run, filling baseline cells and job slots.
+        let pending: Vec<Job> = jobs
+            .iter()
+            .copied()
+            .filter(|&(_, b, g, s)| !completed.contains_key(&checkpoint_key(b, g, s, set)))
+            .collect();
+        let groups = self.plan_lane_groups(&pending, set);
+        let prepared: Vec<Prepared> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        let lane_pass = |group: &LaneGroup| self.run_lane_group(group, set, &prepared);
+
+        let job = |&(index, benchmark, geometry, scheme): &Job| {
             let jscope = self.obs.as_ref().zip(journal_base).map(|(obs, base)| {
                 let scope = obs.journal.scope(base + 1 + index as u64);
                 scope.emit(
@@ -1227,7 +1402,8 @@ impl Engine {
                 });
             }
             let started = Instant::now();
-            match self.run_job(benchmark, geometry, scheme, set, jscope.as_ref()) {
+            let slot = &prepared[index];
+            match self.run_job(benchmark, geometry, scheme, set, slot, jscope.as_ref()) {
                 Ok(row) => {
                     if let Some(m) = &self.metrics {
                         m.job_wall_us
@@ -1277,7 +1453,8 @@ impl Engine {
                     JobOutcome::Failed(failure)
                 }
             }
-        });
+        };
+        let outcomes = self.execute_phased(&groups, lane_pass, &jobs, job, true);
 
         let mut rows = Vec::new();
         let mut failures = Vec::new();
@@ -1338,11 +1515,12 @@ impl Engine {
         geometry: CacheGeometry,
         scheme: Scheme,
         set: InputSet,
+        prepared: &Prepared,
         jscope: Option<&JournalScope>,
     ) -> Result<JobRow, JobFailure> {
         let mut attempt = 1;
         loop {
-            match self.run_job_once(benchmark, geometry, scheme, set, attempt) {
+            match self.run_job_once(benchmark, geometry, scheme, set, prepared, attempt) {
                 Ok(row) => return Ok(row),
                 Err(failure) => {
                     if matches!(&*failure.error, CoreError::Sim(SimError::Timeout { .. })) {
@@ -1419,6 +1597,7 @@ impl Engine {
         geometry: CacheGeometry,
         scheme: Scheme,
         set: InputSet,
+        prepared: &Prepared,
         attempt: u32,
     ) -> Result<JobRow, JobFailure> {
         let fail = |phase, error| JobFailure {
@@ -1441,6 +1620,11 @@ impl Engine {
                     if let Some(error) = hook(benchmark, geometry, scheme) {
                         return Err(Arc::new(error));
                     }
+                }
+                // The lane pass measured this job; a retry finds the
+                // slot taken and measures the job alone.
+                if let Some(result) = lock(prepared).take() {
+                    return result;
                 }
                 self.measure(benchmark, geometry, scheme, set)
             })
@@ -1486,29 +1670,73 @@ impl Engine {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
+        self.execute_phased(&[] as &[()], |()| {}, jobs, job, false)
+    }
+
+    /// [`Engine::execute`] preceded, on the same worker threads, by a
+    /// `prepare` pass over `tasks` that finishes before any job starts.
+    /// One set of threads per run keeps the allocator's per-thread
+    /// arenas (and so peak memory) as they were with one pass. A panic
+    /// in `prepare` is swallowed: preparation is best-effort, and the
+    /// jobs redo whatever it left undone. With `jobs_in_order`, one
+    /// worker runs the jobs in input order, so their side effects
+    /// (checkpoint lines) land in a reproducible order.
+    fn execute_phased<P, G, T, R, F>(
+        &self,
+        tasks: &[P],
+        prepare: G,
+        jobs: &[T],
+        job: F,
+        jobs_in_order: bool,
+    ) -> Vec<R>
+    where
+        P: Sync,
+        G: Fn(&P) + Sync,
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
         let mut slots: Vec<Option<R>> = Vec::with_capacity(jobs.len());
         slots.resize_with(jobs.len(), || None);
         let slots = Mutex::new(slots);
-        let next = AtomicUsize::new(0);
-        let workers = self.workers.min(jobs.len());
-        self.pool.queued.fetch_add(jobs.len(), Ordering::Relaxed);
+        let (next_task, next) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let workers = self.workers.min(jobs.len().max(tasks.len()));
+        let barrier = std::sync::Barrier::new(workers);
+        self.pool.queued.fetch_add(tasks.len() + jobs.len(), Ordering::Relaxed);
         self.sync_pool_gauges();
-        let (next, slots, job) = (&next, &slots, &job);
+        let (next_task, next, slots, barrier) = (&next_task, &next, &slots, &barrier);
+        let (prepare, job) = (&prepare, &job);
+        // Books one unit of pool work around `f`.
+        let timed = move |worker: usize, f: &mut dyn FnMut()| {
+            self.pool.queued.fetch_sub(1, Ordering::Relaxed);
+            self.pool.running.fetch_add(1, Ordering::Relaxed);
+            self.sync_pool_gauges();
+            let started = Instant::now();
+            f();
+            self.pool.busy_ns[worker]
+                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.pool.running.fetch_sub(1, Ordering::Relaxed);
+            self.sync_pool_gauges();
+        };
         std::thread::scope(|scope| {
             for worker in 0..workers {
-                scope.spawn(move || loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(input) = jobs.get(index) else { break };
-                    self.pool.queued.fetch_sub(1, Ordering::Relaxed);
-                    self.pool.running.fetch_add(1, Ordering::Relaxed);
-                    self.sync_pool_gauges();
-                    let started = Instant::now();
-                    let result = job(input);
-                    self.pool.busy_ns[worker]
-                        .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    self.pool.running.fetch_sub(1, Ordering::Relaxed);
-                    self.sync_pool_gauges();
-                    lock(slots)[index] = Some(result);
+                scope.spawn(move || {
+                    while let Some(task) = tasks.get(next_task.fetch_add(1, Ordering::Relaxed)) {
+                        timed(worker, &mut || {
+                            let _ = catch_unwind(AssertUnwindSafe(|| prepare(task)));
+                        });
+                    }
+                    barrier.wait();
+                    if jobs_in_order && worker > 0 {
+                        return;
+                    }
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(input) = jobs.get(index) else { break };
+                        let mut result = None;
+                        timed(worker, &mut || result = Some(job(input)));
+                        lock(slots)[index] = result;
+                    }
                 });
             }
         });

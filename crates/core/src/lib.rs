@@ -57,7 +57,7 @@ pub use fault::{
     corrupt_profile, fault_trial, fault_trial_with, FaultOutcome, FaultSpec, FaultTrial,
 };
 pub use measure::{
-    measure, measure_on, measure_on_timed, measure_traced, measure_with, Comparison,
+    measure, measure_lanes, measure_on, measure_on_timed, measure_traced, measure_with, Comparison,
     MeasureOptions, MeasureTiming, Measurement,
 };
 pub use scheme::Scheme;

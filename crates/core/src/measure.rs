@@ -5,13 +5,15 @@ use std::time::{Duration, Instant};
 
 use wp_energy::{EnergyModel, EnergyReport, SystemActivity};
 use wp_mem::CacheGeometry;
-use wp_sim::{simulate_traced, NullSink, RunResult, SimConfig, TraceSink};
+use wp_sim::{
+    simulate_lanes, simulate_traced, NullSink, RunResult, SimConfig, SimError, TraceSink,
+};
 use wp_workloads::InputSet;
 
 use crate::fault::{corrupt_profile, FaultSpec};
 use crate::scheme::Scheme;
 use crate::workbench::{verify, CoreError, Workbench};
-use wp_linker::Layout;
+use wp_linker::{Layout, LinkOutput};
 
 /// One priced, verified measurement run.
 #[derive(Clone, Debug)]
@@ -241,20 +243,101 @@ pub fn measure_traced<S: TraceSink>(
     options: MeasureOptions,
     sink: &mut S,
 ) -> Result<(Measurement, MeasureTiming), CoreError> {
-    let set = options.set;
     let start = Instant::now();
-    let layout = options.layout.unwrap_or_else(|| scheme.layout());
-    let output = match options.fault {
+    let output = link_for(workbench, options.layout.unwrap_or_else(|| scheme.layout()), &options)?;
+    let link = start.elapsed();
+
+    let start = Instant::now();
+    let sim_config = sim_config(icache, scheme, &options);
+    let run = simulate_traced(&output.image, &sim_config, sink)?;
+    verify(workbench.benchmark(), options.set, run.checksum)?;
+    let simulate = start.elapsed();
+
+    let start = Instant::now();
+    let measurement = priced(icache, scheme, &sim_config, run);
+    let price = start.elapsed();
+
+    Ok((measurement, MeasureTiming { link, simulate, price }))
+}
+
+/// [`measure_with`] for a group of `(geometry, scheme)` lanes that
+/// share one code layout: links once, times every lane in one
+/// lock-step execution ([`wp_sim::simulate_lanes`]), verifies the
+/// checksum once and prices each lane. Lane `i`'s measurement equals
+/// `measure_with(workbench, lanes[i].0, lanes[i].1, options)`; the
+/// returned timing covers the whole group.
+///
+/// # Errors
+///
+/// [`wp_sim::SimError::LaneMismatch`] when `options.layout` is unset
+/// and a lane's scheme links under a different layout than lane 0's;
+/// otherwise what [`measure_with`] would return, which is the same for
+/// every lane (the watchdog limit applies to the whole group).
+pub fn measure_lanes(
+    workbench: &Workbench,
+    lanes: &[(CacheGeometry, Scheme)],
+    options: MeasureOptions,
+) -> Result<(Vec<Measurement>, MeasureTiming), CoreError> {
+    let Some(&(_, first)) = lanes.first() else {
+        return Ok((Vec::new(), MeasureTiming::default()));
+    };
+    let layout = match options.layout {
+        Some(layout) => layout,
+        None => {
+            if let Some(lane) = lanes.iter().position(|(_, s)| s.layout() != first.layout()) {
+                return Err(CoreError::Sim(SimError::LaneMismatch { lane }));
+            }
+            first.layout()
+        }
+    };
+    let start = Instant::now();
+    let output = link_for(workbench, layout, &options)?;
+    let link = start.elapsed();
+
+    let start = Instant::now();
+    let configs: Vec<SimConfig> = lanes
+        .iter()
+        .map(|&(icache, scheme)| sim_config(icache, scheme, &options))
+        .collect();
+    let runs = simulate_lanes(&output.image, &configs)?;
+    if let Some(run) = runs.first() {
+        verify(workbench.benchmark(), options.set, run.checksum)?;
+    }
+    let simulate = start.elapsed();
+
+    let start = Instant::now();
+    let measurements = lanes
+        .iter()
+        .zip(&configs)
+        .zip(runs)
+        .map(|((&(icache, scheme), config), run)| priced(icache, scheme, config, run))
+        .collect();
+    let price = start.elapsed();
+
+    Ok((measurements, MeasureTiming { link, simulate, price }))
+}
+
+/// Links the measured binary under `layout`; compiler-side faults
+/// perturb this step.
+fn link_for(
+    workbench: &Workbench,
+    layout: Layout,
+    options: &MeasureOptions,
+) -> Result<LinkOutput, CoreError> {
+    let set = options.set;
+    Ok(match options.fault {
         Some(FaultSpec::CorruptProfile { seed, flips }) => {
             let corrupted = corrupt_profile(workbench.profile(), seed, flips);
             workbench.link_with(layout, set, &corrupted)?
         }
         Some(FaultSpec::PermuteChains { seed }) => workbench.link(Layout::Random(seed), set)?,
         Some(FaultSpec::Hardware(_)) | None => workbench.link(layout, set)?,
-    };
-    let link = start.elapsed();
+    })
+}
 
-    let start = Instant::now();
+/// The simulator configuration of one measurement; hardware faults,
+/// detection and degradation arm the memory system here.
+fn sim_config(icache: CacheGeometry, scheme: Scheme, options: &MeasureOptions) -> SimConfig {
     let mut mem = scheme.memory_config(icache);
     if let Some(FaultSpec::Hardware(config)) = options.fault {
         mem.fault = Some(config);
@@ -263,11 +346,16 @@ pub fn measure_traced<S: TraceSink>(
     let mut sim_config = SimConfig::new(mem);
     sim_config.time_limit = options.time_limit;
     sim_config.degradation = options.degradation;
-    let run = simulate_traced(&output.image, &sim_config, sink)?;
-    verify(workbench.benchmark(), set, run.checksum)?;
-    let simulate = start.elapsed();
+    sim_config
+}
 
-    let start = Instant::now();
+/// Prices a verified run through the energy model.
+fn priced(
+    icache: CacheGeometry,
+    scheme: Scheme,
+    config: &SimConfig,
+    run: RunResult,
+) -> Measurement {
     let activity = SystemActivity {
         fetch: run.fetch,
         dcache: run.dcache,
@@ -277,10 +365,8 @@ pub fn measure_traced<S: TraceSink>(
         instructions: run.instructions,
         detection: run.detection,
     };
-    let energy = EnergyModel::new().price(&mem, &activity);
-    let price = start.elapsed();
-
-    Ok((Measurement { scheme, icache, run, energy }, MeasureTiming { link, simulate, price }))
+    let energy = EnergyModel::new().price(&config.mem, &activity);
+    Measurement { scheme, icache, run, energy }
 }
 
 /// A baseline-relative comparison for one benchmark and geometry.

@@ -52,15 +52,101 @@ pub struct DataOutcome {
     pub stall_cycles: u32,
 }
 
+/// The address half of a data access: what the lookup found. It
+/// depends only on the address stream, never on the pipeline clock,
+/// so timing lanes that share one address stream can share it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct DataProbe {
+    /// Whether the access hit.
+    pub hit: bool,
+    /// Whether the fill evicted a dirty line (a writeback to buffer).
+    pub evicted_dirty: bool,
+}
+
+/// The write-buffer half of a data access: the miss latency plus the
+/// stall of a writeback that finds every entry still draining. Its
+/// drain queue is paced by the pipeline clock, so each timing lane
+/// keeps its own.
+#[derive(Clone, Debug)]
+pub struct WriteBuffer {
+    miss_latency: u32,
+    writeback_latency: u32,
+    entries: usize,
+    /// Cycle numbers at which in-flight writebacks finish draining.
+    draining: VecDeque<u64>,
+    /// Cycles stalled on misses (the `miss_stall_cycles` counter).
+    stall_cycles: u64,
+}
+
+impl WriteBuffer {
+    /// An empty write buffer with `config`'s latencies and depth.
+    #[must_use]
+    pub fn new(config: &DCacheConfig) -> WriteBuffer {
+        WriteBuffer {
+            miss_latency: config.miss_latency,
+            writeback_latency: config.writeback_latency,
+            entries: config.write_buffer_entries as usize,
+            draining: VecDeque::new(),
+            stall_cycles: 0,
+        }
+    }
+
+    /// Cycles stalled on misses so far.
+    #[must_use]
+    pub fn stall_cycles(&self) -> u64 {
+        self.stall_cycles
+    }
+
+    /// Empties the buffer and zeroes the stall counter.
+    pub fn reset(&mut self) {
+        self.draining.clear();
+        self.stall_cycles = 0;
+    }
+
+    /// Times an access whose address half found `probe`, at pipeline
+    /// cycle `now`.
+    pub fn settle(&mut self, probe: DataProbe, now: u64) -> DataOutcome {
+        if probe.hit {
+            return DataOutcome { hit: true, stall_cycles: 0 };
+        }
+        let mut stall = self.miss_latency;
+        if probe.evicted_dirty {
+            stall += self.enqueue_writeback(now + u64::from(stall));
+        }
+        self.stall_cycles += u64::from(stall);
+        DataOutcome { hit: false, stall_cycles: stall }
+    }
+
+    /// Enqueues a writeback at cycle `now`; returns the stall, which is
+    /// zero unless every write-buffer entry is still draining.
+    fn enqueue_writeback(&mut self, now: u64) -> u32 {
+        while self.draining.front().is_some_and(|&done| done <= now) {
+            self.draining.pop_front();
+        }
+        let mut stall = 0u32;
+        let mut start = now;
+        if self.draining.len() >= self.entries {
+            if let Some(front) = self.draining.pop_front() {
+                stall = (front - now) as u32;
+                start = front;
+            }
+        }
+        let last = self.draining.back().copied().unwrap_or(start).max(start);
+        self.draining.push_back(last + u64::from(self.writeback_latency));
+        stall
+    }
+}
+
 /// The data cache model (placement and timing; contents live in the
-/// functional memory).
+/// functional memory): the address half ([`DataCache::probe`]) plus
+/// one [`WriteBuffer`].
 #[derive(Clone, Debug)]
 pub struct DataCache {
     config: DCacheConfig,
     array: CamArray,
+    /// Address-half counters; `miss_stall_cycles` lives in `buffer`.
     stats: DCacheStats,
-    /// Cycle numbers at which in-flight writebacks finish draining.
-    write_buffer: VecDeque<u64>,
+    buffer: WriteBuffer,
 }
 
 impl DataCache {
@@ -71,7 +157,7 @@ impl DataCache {
             config,
             array: CamArray::new(config.geometry, config.replacement, 0xdca4e),
             stats: DCacheStats::new(),
-            write_buffer: VecDeque::new(),
+            buffer: WriteBuffer::new(&config),
         }
     }
 
@@ -83,47 +169,37 @@ impl DataCache {
 
     /// Accumulated counters.
     #[must_use]
-    pub fn stats(&self) -> &DCacheStats {
-        &self.stats
+    pub fn stats(&self) -> DCacheStats {
+        DCacheStats { miss_stall_cycles: self.buffer.stall_cycles, ..self.stats }
     }
 
     /// Resets tags, counters and the write buffer.
     pub fn reset(&mut self) {
         self.array.invalidate_all();
         self.stats = DCacheStats::new();
-        self.write_buffer.clear();
-    }
-
-    /// Enqueues a writeback at cycle `now`; returns the stall, which is
-    /// zero unless every write-buffer entry is still draining.
-    fn enqueue_writeback(&mut self, now: u64) -> u32 {
-        while self.write_buffer.front().is_some_and(|&done| done <= now) {
-            self.write_buffer.pop_front();
-        }
-        let mut stall = 0u32;
-        let mut start = now;
-        if self.write_buffer.len() >= self.config.write_buffer_entries as usize {
-            if let Some(front) = self.write_buffer.pop_front() {
-                stall = (front - now) as u32;
-                start = front;
-            }
-        }
-        let last = self.write_buffer.back().copied().unwrap_or(start).max(start);
-        self.write_buffer.push_back(last + u64::from(self.config.writeback_latency));
-        stall
+        self.buffer.reset();
     }
 
     /// [`DataCache::access_at`] with an ever-advancing internal clock —
     /// for tests and trace tools that have no pipeline clock.
     pub fn access(&mut self, addr: u32, write: bool) -> DataOutcome {
-        let now = self.stats.miss_stall_cycles + self.stats.accesses();
+        let now = self.buffer.stall_cycles + self.stats.accesses();
         self.access_at(addr, write, now)
     }
 
     /// Performs a load (`write == false`) or store (`write == true`) of
     /// any width at `addr`, at pipeline cycle `now` (which paces the
-    /// write buffer's background drain).
+    /// write buffer's background drain): [`DataCache::probe`] followed
+    /// by [`WriteBuffer::settle`] on this cache's own buffer.
     pub fn access_at(&mut self, addr: u32, write: bool, now: u64) -> DataOutcome {
+        let probe = self.probe(addr, write);
+        self.buffer.settle(probe, now)
+    }
+
+    /// The address half of an access: lookup, fill, dirty eviction and
+    /// every counter except `miss_stall_cycles`. The stall is left to a
+    /// [`WriteBuffer`].
+    pub fn probe(&mut self, addr: u32, write: bool) -> DataProbe {
         if write {
             self.stats.writes += 1;
         } else {
@@ -138,24 +214,21 @@ impl DataCache {
                 if write {
                     self.array.mark_dirty(addr, way);
                 }
-                DataOutcome { hit: true, stall_cycles: 0 }
+                DataProbe { hit: true, evicted_dirty: false }
             }
             None => {
                 self.stats.misses += 1;
                 self.stats.line_fills += 1;
                 let way = self.array.pick_victim(addr);
                 let outcome = self.array.fill(addr, way);
-                let mut stall = self.config.miss_latency;
                 if outcome.evicted_dirty {
                     self.stats.writebacks += 1;
-                    stall += self.enqueue_writeback(now + u64::from(stall));
                 }
                 if write {
                     // Write-allocate: the line is filled then written.
                     self.array.mark_dirty(addr, way);
                 }
-                self.stats.miss_stall_cycles += u64::from(stall);
-                DataOutcome { hit: false, stall_cycles: stall }
+                DataProbe { hit: false, evicted_dirty: outcome.evicted_dirty }
             }
         }
     }
@@ -229,6 +302,48 @@ mod tests {
         assert_eq!(cache.stats().writebacks, 12);
         assert!(stalls.iter().take(2).all(|&s| s == 50), "{stalls:?}");
         assert!(stalls.iter().skip(2).any(|&s| s > 50), "{stalls:?}");
+    }
+
+    /// Lanes share the address half and keep their own write buffers:
+    /// one `probe` stream settled against two diverging clocks must
+    /// reproduce two independent caches stall for stall.
+    #[test]
+    fn shared_address_half_with_per_lane_write_buffers_matches_independent_caches() {
+        let config = small();
+        let stride = 8 * 32;
+        let mut shared = DataCache::new(config);
+        let mut lanes = [WriteBuffer::new(&config), WriteBuffer::new(&config)];
+        let mut alone = [DataCache::new(config), DataCache::new(config)];
+        let mut clocks = [0u64; 2];
+        // Accesses arrive faster than writebacks drain on lane 0 and
+        // slower on lane 1, so the two buffers fill on different
+        // schedules.
+        let pace = [1u64, 9];
+        let mut stalled = [false; 2];
+        let mut diverged = false;
+        for i in 0..64u32 {
+            // Writes to one set: every fill past the fourth evicts a
+            // dirty line, so writebacks arrive back to back.
+            let addr = 0x2000 + (i % 12) * stride;
+            let probe = shared.probe(addr, i % 3 != 2);
+            let mut stalls = [0u32; 2];
+            for lane in 0..2 {
+                let expected = alone[lane].access_at(addr, i % 3 != 2, clocks[lane]);
+                let got = lanes[lane].settle(probe, clocks[lane]);
+                assert_eq!(got, expected, "access {i}, lane {lane}");
+                stalled[lane] |= got.stall_cycles > config.miss_latency;
+                stalls[lane] = got.stall_cycles;
+                clocks[lane] += pace[lane];
+            }
+            diverged |= stalls[0] != stalls[1];
+        }
+        for lane in 0..2 {
+            let merged =
+                DCacheStats { miss_stall_cycles: lanes[lane].stall_cycles(), ..shared.stats() };
+            assert_eq!(merged, alone[lane].stats(), "lane {lane}");
+        }
+        assert!(stalled[0], "the fast lane must find its write buffer full");
+        assert!(diverged, "the lanes' stalls must differ somewhere");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! D-cache + D-TLB on the data side. This is the component the `wp-sim`
 //! pipeline talks to.
 
-use crate::dcache::{DCacheConfig, DataCache};
+use crate::dcache::{DCacheConfig, DataCache, DataProbe};
 use crate::detect::{DetectedFault, DetectionStats};
 use crate::fault::{FaultConfig, FaultInjector, FaultKind, FaultStats};
 use crate::icache::{FetchScheme, ICacheConfig, InstructionCache};
@@ -109,33 +109,32 @@ pub struct FetchTiming {
     pub cycles: u32,
 }
 
-/// The memory system handed to the pipeline model.
+/// The fetch side of the hierarchy: I-TLB, I-cache, the fault
+/// injector and the detection counters. Everything here is paced by
+/// the fetch stream alone, so one timing lane of a lock-step group is
+/// one `FetchSide`.
 #[derive(Clone, Debug)]
-pub struct MemorySystem {
+pub struct FetchSide {
     config: MemoryConfig,
     icache: InstructionCache,
-    dcache: DataCache,
     itlb: Tlb,
-    dtlb: Tlb,
     fault: Option<FaultInjector>,
     /// TLB-side detection counters (the I-cache keeps its own).
     detect: DetectionStats,
 }
 
-impl MemorySystem {
-    /// Builds the hierarchy from a configuration.
+impl FetchSide {
+    /// Builds the fetch side of `config`.
     #[must_use]
-    pub fn new(config: MemoryConfig) -> MemorySystem {
+    pub fn new(config: MemoryConfig) -> FetchSide {
         let wp_limit =
             if config.icache.scheme == FetchScheme::WayPlacement { config.wp_limit } else { 0 };
         let mut icache = InstructionCache::new(config.icache);
         icache.set_detection(config.detection);
-        MemorySystem {
+        FetchSide {
             config,
             icache,
-            dcache: DataCache::new(config.dcache),
             itlb: Tlb::new(config.itlb, wp_limit),
-            dtlb: Tlb::new(config.dtlb, 0),
             fault: config.fault.map(FaultInjector::new),
             detect: DetectionStats::new(),
         }
@@ -145,7 +144,7 @@ impl MemorySystem {
     /// controller's lever); see
     /// [`InstructionCache::set_scheme`] for the flush semantics. The
     /// constructed `config` keeps the *preferred* scheme;
-    /// [`current_scheme`](MemorySystem::current_scheme) reports what is
+    /// [`current_scheme`](FetchSide::current_scheme) reports what is
     /// actually running.
     pub fn set_fetch_scheme(&mut self, scheme: FetchScheme) {
         self.icache.set_scheme(scheme);
@@ -231,9 +230,9 @@ impl MemorySystem {
 
     /// Folds an I-cache outcome and the parallel I-TLB outcome into one
     /// timing result — the single place the TLB-fill stall is charged,
-    /// shared by [`fetch`](MemorySystem::fetch),
-    /// [`fetch_traced`](MemorySystem::fetch_traced) and
-    /// [`fetch_block`](MemorySystem::fetch_block) so the accounting
+    /// shared by [`fetch`](FetchSide::fetch),
+    /// [`fetch_traced`](FetchSide::fetch_traced) and
+    /// [`fetch_block`](FetchSide::fetch_block) so the accounting
     /// cannot drift between them.
     fn compose_timing(fetch: crate::FetchOutcome, tlb: crate::TlbOutcome) -> FetchTiming {
         FetchTiming { hit: fetch.hit, cycles: fetch.cycles + tlb.stall_cycles }
@@ -245,22 +244,22 @@ impl MemorySystem {
     pub fn fetch(&mut self, addr: u32) -> FetchTiming {
         let tlb = self.pre_fetch(addr);
         let fetch = self.icache.fetch(addr, tlb.wp);
-        MemorySystem::compose_timing(fetch, tlb)
+        FetchSide::compose_timing(fetch, tlb)
     }
 
-    /// [`fetch`](MemorySystem::fetch) plus a classified telemetry
+    /// [`fetch`](FetchSide::fetch) plus a classified telemetry
     /// event. Behaviour and counters are identical to `fetch`; the
     /// event's `cycle` field is left 0 for the simulator to stamp.
     pub fn fetch_traced(&mut self, addr: u32) -> (FetchTiming, FetchEvent) {
         let tlb = self.pre_fetch(addr);
         let (fetch, event) = self.icache.fetch_traced(addr, tlb.wp);
-        (MemorySystem::compose_timing(fetch, tlb), event)
+        (FetchSide::compose_timing(fetch, tlb), event)
     }
 
     /// Fetches `words` consecutive instruction words starting at
     /// `addr`, all within one cache line: exactly equivalent — counter
     /// for counter, cycle for cycle — to `words` sequential calls to
-    /// [`fetch`](MemorySystem::fetch), but the trailing same-line
+    /// [`fetch`](FetchSide::fetch), but the trailing same-line
     /// elided fetches are accounted in bulk instead of one at a time.
     ///
     /// The returned timing sums the cycles of every fetch in the run;
@@ -325,44 +324,16 @@ impl MemorySystem {
         FetchTiming { hit: first.hit, cycles: first.cycles + words - 1 }
     }
 
-    /// A data load at `addr` during pipeline cycle `now`; returns stall
-    /// cycles beyond the pipeline's base load latency.
-    pub fn load(&mut self, addr: u32, now: u64) -> u32 {
-        let tlb = self.dtlb.lookup(addr);
-        let access = self.dcache.access_at(addr, false, now);
-        tlb.stall_cycles + access.stall_cycles
-    }
-
-    /// A data store at `addr` during pipeline cycle `now`; returns stall
-    /// cycles.
-    pub fn store(&mut self, addr: u32, now: u64) -> u32 {
-        let tlb = self.dtlb.lookup(addr);
-        let access = self.dcache.access_at(addr, true, now);
-        tlb.stall_cycles + access.stall_cycles
-    }
-
     /// Instruction-fetch counters.
     #[must_use]
     pub fn fetch_stats(&self) -> &FetchStats {
         self.icache.stats()
     }
 
-    /// Data-cache counters.
-    #[must_use]
-    pub fn dcache_stats(&self) -> &DCacheStats {
-        self.dcache.stats()
-    }
-
     /// I-TLB counters.
     #[must_use]
     pub fn itlb_stats(&self) -> &TlbStats {
         self.itlb.stats()
-    }
-
-    /// D-TLB counters.
-    #[must_use]
-    pub fn dtlb_stats(&self) -> &TlbStats {
-        self.dtlb.stats()
     }
 
     /// Injected-fault counters (all zero when injection is disabled).
@@ -387,11 +358,181 @@ impl MemorySystem {
         } else {
             self.icache.reset();
         }
-        self.dcache.reset();
         self.itlb.reset();
-        self.dtlb.reset();
         self.fault = self.config.fault.map(FaultInjector::new);
         self.detect = DetectionStats::new();
+    }
+}
+
+/// The address half of one data access through [`DataSide`]: the
+/// D-TLB fill stall and what the D-cache lookup found.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct DataAccess {
+    /// D-TLB fill stall (zero on a hit).
+    pub tlb_stall: u32,
+    /// The D-cache's address half.
+    pub probe: DataProbe,
+}
+
+/// The data side of the hierarchy: D-TLB and D-cache. Its address
+/// state ([`DataSide::probe`]) depends only on the data-address stream;
+/// only the write buffer's drain depends on the pipeline clock, so
+/// lock-step timing lanes share one `DataSide` and keep a
+/// [`WriteBuffer`] each.
+#[derive(Clone, Debug)]
+pub struct DataSide {
+    dcache: DataCache,
+    dtlb: Tlb,
+}
+
+impl DataSide {
+    /// Builds the data side of `config`.
+    #[must_use]
+    pub fn new(config: &MemoryConfig) -> DataSide {
+        DataSide { dcache: DataCache::new(config.dcache), dtlb: Tlb::new(config.dtlb, 0) }
+    }
+
+    /// The address half of an access at `addr`: D-TLB lookup plus
+    /// [`DataCache::probe`].
+    pub fn probe(&mut self, addr: u32, write: bool) -> DataAccess {
+        let tlb = self.dtlb.lookup(addr);
+        DataAccess { tlb_stall: tlb.stall_cycles, probe: self.dcache.probe(addr, write) }
+    }
+
+    /// A whole access at pipeline cycle `now` against the D-cache's own
+    /// write buffer; returns the stall cycles.
+    pub fn access_at(&mut self, addr: u32, write: bool, now: u64) -> u32 {
+        let tlb = self.dtlb.lookup(addr);
+        tlb.stall_cycles + self.dcache.access_at(addr, write, now).stall_cycles
+    }
+
+    /// Data-cache counters; `miss_stall_cycles` counts the D-cache's own
+    /// write buffer (zero when only [`DataSide::probe`] was used).
+    #[must_use]
+    pub fn dcache_stats(&self) -> DCacheStats {
+        self.dcache.stats()
+    }
+
+    /// D-TLB counters.
+    #[must_use]
+    pub fn dtlb_stats(&self) -> &TlbStats {
+        self.dtlb.stats()
+    }
+
+    /// Resets all state and counters.
+    pub fn reset(&mut self) {
+        self.dcache.reset();
+        self.dtlb.reset();
+    }
+}
+
+/// The memory system handed to the pipeline model: a [`FetchSide`] and
+/// a [`DataSide`].
+#[derive(Clone, Debug)]
+pub struct MemorySystem {
+    fetch: FetchSide,
+    data: DataSide,
+}
+
+impl MemorySystem {
+    /// Builds the hierarchy from a configuration.
+    #[must_use]
+    pub fn new(config: MemoryConfig) -> MemorySystem {
+        MemorySystem { fetch: FetchSide::new(config), data: DataSide::new(&config) }
+    }
+
+    /// See [`FetchSide::set_fetch_scheme`].
+    pub fn set_fetch_scheme(&mut self, scheme: FetchScheme) {
+        self.fetch.set_fetch_scheme(scheme);
+    }
+
+    /// See [`FetchSide::current_scheme`].
+    #[must_use]
+    pub fn current_scheme(&self) -> FetchScheme {
+        self.fetch.current_scheme()
+    }
+
+    /// See [`FetchSide::detection_stats`].
+    #[must_use]
+    pub fn detection_stats(&self) -> DetectionStats {
+        self.fetch.detection_stats()
+    }
+
+    /// The configuration.
+    #[must_use]
+    pub fn config(&self) -> &MemoryConfig {
+        self.fetch.config()
+    }
+
+    /// See [`FetchSide::fetch`].
+    pub fn fetch(&mut self, addr: u32) -> FetchTiming {
+        self.fetch.fetch(addr)
+    }
+
+    /// See [`FetchSide::fetch_traced`].
+    pub fn fetch_traced(&mut self, addr: u32) -> (FetchTiming, FetchEvent) {
+        self.fetch.fetch_traced(addr)
+    }
+
+    /// See [`FetchSide::fetch_block`].
+    pub fn fetch_block(&mut self, addr: u32, words: u32) -> FetchTiming {
+        self.fetch.fetch_block(addr, words)
+    }
+
+    /// A data load at `addr` during pipeline cycle `now`; returns stall
+    /// cycles beyond the pipeline's base load latency.
+    pub fn load(&mut self, addr: u32, now: u64) -> u32 {
+        self.data.access_at(addr, false, now)
+    }
+
+    /// A data store at `addr` during pipeline cycle `now`; returns stall
+    /// cycles.
+    pub fn store(&mut self, addr: u32, now: u64) -> u32 {
+        self.data.access_at(addr, true, now)
+    }
+
+    /// Instruction-fetch counters.
+    #[must_use]
+    pub fn fetch_stats(&self) -> &FetchStats {
+        self.fetch.fetch_stats()
+    }
+
+    /// Data-cache counters.
+    #[must_use]
+    pub fn dcache_stats(&self) -> DCacheStats {
+        self.data.dcache_stats()
+    }
+
+    /// I-TLB counters.
+    #[must_use]
+    pub fn itlb_stats(&self) -> &TlbStats {
+        self.fetch.itlb_stats()
+    }
+
+    /// D-TLB counters.
+    #[must_use]
+    pub fn dtlb_stats(&self) -> &TlbStats {
+        self.data.dtlb_stats()
+    }
+
+    /// Injected-fault counters (all zero when injection is disabled).
+    #[must_use]
+    pub fn fault_stats(&self) -> FaultStats {
+        self.fetch.fault_stats()
+    }
+
+    /// The instruction cache (diagnostics / invariant checks).
+    #[must_use]
+    pub fn icache(&self) -> &InstructionCache {
+        self.fetch.icache()
+    }
+
+    /// Resets all state and counters, including the fault injector's
+    /// PRNG stream, and restores the configured fetch scheme if a
+    /// runtime switch had demoted it.
+    pub fn reset(&mut self) {
+        self.fetch.reset();
+        self.data.reset();
     }
 }
 
@@ -417,11 +558,11 @@ mod tests {
         let geom = CacheGeometry::new(2048, 4, 32);
         let cfg = MemoryConfig { wp_limit: 0x8000 + 1024, ..MemoryConfig::baseline(geom) };
         let mem = MemorySystem::new(cfg);
-        assert_eq!(mem.itlb.wp_limit(), 0, "baseline ignores wp_limit");
+        assert_eq!(mem.fetch.itlb.wp_limit(), 0, "baseline ignores wp_limit");
 
         let cfg = MemoryConfig::way_placement(geom, 0x8000, 1024);
         let mem = MemorySystem::new(cfg);
-        assert_eq!(mem.itlb.wp_limit(), 0x8000 + 1024);
+        assert_eq!(mem.fetch.itlb.wp_limit(), 0x8000 + 1024);
     }
 
     #[test]

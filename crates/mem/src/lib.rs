@@ -18,8 +18,11 @@
 //! * [`DataCache`] — write-back, write-allocate data side;
 //! * [`Tlb`] — fully-associative TLBs; the I-TLB carries the per-page
 //!   **way-placement bit** that the OS model writes on each fill;
-//! * [`MemorySystem`] — the assembled hierarchy the pipeline simulator
-//!   drives.
+//! * [`MemorySystem`] — the assembled hierarchy: a [`FetchSide`]
+//!   (I-TLB, I-cache, fault injector) and a [`DataSide`] (D-TLB,
+//!   D-cache). The pipeline simulator drives the two sides directly, so
+//!   several timing lanes can share one data side's address state and
+//!   keep a fetch side and a [`WriteBuffer`] each.
 //!
 //! Every energy-relevant micro-event (tag comparisons, match-line
 //! precharges, data reads, line fills, link updates, ...) is counted in
@@ -59,11 +62,11 @@ mod stats;
 mod tlb;
 
 pub use cam::{CamArray, FillOutcome, ReplacementPolicy};
-pub use dcache::{DCacheConfig, DataCache, DataOutcome};
+pub use dcache::{DCacheConfig, DataCache, DataOutcome, DataProbe, WriteBuffer};
 pub use detect::{DetectedFault, DetectionStats};
 pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultStats};
 pub use geometry::{CacheGeometry, GeometryShifts};
-pub use hierarchy::{FetchTiming, MemoryConfig, MemorySystem};
+pub use hierarchy::{DataAccess, DataSide, FetchSide, FetchTiming, MemoryConfig, MemorySystem};
 pub use icache::{FetchOutcome, FetchScheme, ICacheConfig, InstructionCache};
 pub use stats::{DCacheStats, FetchStats, TlbStats};
 pub use tlb::{Tlb, TlbConfig, TlbOutcome};

@@ -14,13 +14,13 @@ use std::time::{Duration, Instant};
 
 use wp_isa::{Image, Insn, Reg};
 use wp_mem::{
-    DCacheStats, DetectionStats, FaultStats, FetchScheme, FetchStats, MemoryConfig, MemorySystem,
-    TlbStats,
+    DCacheStats, DataAccess, DataSide, DetectionStats, FaultStats, FetchScheme, FetchSide,
+    FetchStats, MemoryConfig, TlbStats, WriteBuffer,
 };
 use wp_trace::{FetchCounters, IntervalSample, NullSink, TraceSink};
 
 use crate::degrade::{DegradationController, DegradationPolicy};
-use crate::exec::{step, Control, ExecError, InsnClass};
+use crate::exec::{step, Control, ExecError, InsnClass, Step};
 use crate::machine::Machine;
 
 /// Guest system-call numbers.
@@ -129,6 +129,13 @@ pub enum SimError {
         /// The configured limit.
         limit: Duration,
     },
+    /// A [`simulate_lanes`] group whose lane disagrees with lane 0 on a
+    /// parameter every lane shares (core timing, budget, watchdog,
+    /// profiling, data side).
+    LaneMismatch {
+        /// Index of the first disagreeing lane.
+        lane: usize,
+    },
 }
 
 impl SimError {
@@ -154,6 +161,9 @@ impl fmt::Display for SimError {
             SimError::Timeout { limit } => {
                 write!(f, "wall-clock limit {limit:?} exceeded (watchdog)")
             }
+            SimError::LaneMismatch { lane } => {
+                write!(f, "lane {lane} disagrees with lane 0 on core or data-side parameters")
+            }
         }
     }
 }
@@ -167,7 +177,7 @@ impl From<ExecError> for SimError {
 }
 
 /// Everything one run produced.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct RunResult {
     /// The guest's exit code (`r0` at `swi #EXIT`).
     pub exit_code: u32,
@@ -299,11 +309,159 @@ pub fn simulate_traced<S: TraceSink>(
     config: &SimConfig,
     sink: &mut S,
 ) -> Result<RunResult, SimError> {
-    let mut machine = Machine::boot(image);
-    let mut mem = MemorySystem::new(config.mem);
-    let mut degrade = config
-        .degradation
-        .map(|p| DegradationController::new(p, config.mem.icache.scheme));
+    let machine = Machine::boot(image);
+    let mut lanes = [Lane::new(config)];
+    let shared = execute(machine, image, config, &mut lanes, sink)?;
+    Ok(lanes[0].result(&shared))
+}
+
+/// Runs `image` once and times it under every configuration of
+/// `configs` in lock-step: one result per configuration, each equal,
+/// field for field, to [`simulate`] under that configuration alone.
+///
+/// The paper's §4 argument is that the fetch scheme, its faults and
+/// its degradation change timing and energy, never architecture. So
+/// one architectural execution (machine state, text-bounds checks,
+/// instruction budget, branch target buffer, syscalls) feeds every
+/// lane, and so does the data side's address state (D-TLB, D-cache
+/// array and every [`DCacheStats`] counter except `miss_stall_cycles`).
+/// Each lane keeps what depends on its own cache or clock: a
+/// [`FetchSide`], a degradation controller, the cycle count, the
+/// scoreboard and a [`WriteBuffer`].
+///
+/// An empty `configs` runs nothing and returns no results.
+///
+/// # Errors
+///
+/// [`SimError::LaneMismatch`] when a configuration differs from the
+/// first in anything but the fetch side (`mem.icache`, `mem.itlb`,
+/// `mem.wp_limit`, `mem.fault`, `mem.detection`) and `degradation`;
+/// otherwise the error [`simulate`] would return, which is the same for
+/// every lane.
+pub fn simulate_lanes(image: &Image, configs: &[SimConfig]) -> Result<Vec<RunResult>, SimError> {
+    let Some(first) = configs.first() else {
+        return Ok(Vec::new());
+    };
+    if let Some(lane) = configs.iter().position(|config| !shares_core(first, config)) {
+        return Err(SimError::LaneMismatch { lane });
+    }
+    // Boot before building the lanes: the 16 MiB guest is the largest
+    // allocation, and taking it first lets the allocator reuse one
+    // region for it execution after execution instead of splitting it.
+    let machine = Machine::boot(image);
+    let mut lanes: Vec<Lane> = configs.iter().map(Lane::new).collect();
+    let shared = execute(machine, image, first, &mut lanes, &mut NullSink)?;
+    Ok(lanes.iter().map(|lane| lane.result(&shared)).collect())
+}
+
+/// Whether `config` agrees with `first` on everything lanes share:
+/// every field except the fetch side and the degradation policy.
+fn shares_core(first: &SimConfig, config: &SimConfig) -> bool {
+    let with_first_fetch_side = SimConfig {
+        mem: MemoryConfig {
+            icache: first.mem.icache,
+            itlb: first.mem.itlb,
+            wp_limit: first.mem.wp_limit,
+            fault: first.mem.fault,
+            detection: first.mem.detection,
+            ..config.mem
+        },
+        degradation: first.degradation,
+        ..*config
+    };
+    with_first_fetch_side == *first
+}
+
+/// One timing lane: the state that depends on the lane's own fetch
+/// side or clock.
+#[derive(Debug)]
+struct Lane {
+    fetch: FetchSide,
+    buffer: WriteBuffer,
+    degrade: Option<DegradationController>,
+    clock: Clock,
+}
+
+/// A lane's cycle count and scoreboard.
+#[derive(Debug, Default)]
+struct Clock {
+    cycles: u64,
+    /// Scoreboard: the cycle at which each register's value is ready.
+    ready: [u64; 16],
+    /// Upper bound on every scoreboard entry, maintained where slow
+    /// results publish so the batch guard can prove "no stall possible
+    /// inside this run" without scanning `ready`.
+    ready_bound: u64,
+}
+
+/// What every lane of one execution shares.
+#[derive(Debug)]
+struct Shared {
+    exit_code: u32,
+    checksum: u64,
+    output: Vec<u8>,
+    instructions: u64,
+    mispredicts: u64,
+    insn_counts: Option<Vec<u64>>,
+    data: DataSide,
+}
+
+impl Lane {
+    fn new(config: &SimConfig) -> Lane {
+        Lane {
+            fetch: FetchSide::new(config.mem),
+            buffer: WriteBuffer::new(&config.mem.dcache),
+            degrade: config
+                .degradation
+                .map(|p| DegradationController::new(p, config.mem.icache.scheme)),
+            clock: Clock::default(),
+        }
+    }
+
+    fn result(&self, shared: &Shared) -> RunResult {
+        let degrade = self.degrade.as_ref();
+        RunResult {
+            exit_code: shared.exit_code,
+            checksum: shared.checksum,
+            output: shared.output.clone(),
+            instructions: shared.instructions,
+            cycles: self.clock.cycles,
+            fetch: *self.fetch.fetch_stats(),
+            dcache: DCacheStats {
+                miss_stall_cycles: self.buffer.stall_cycles(),
+                ..shared.data.dcache_stats()
+            },
+            itlb: *self.fetch.itlb_stats(),
+            dtlb: *shared.data.dtlb_stats(),
+            branch_mispredicts: shared.mispredicts,
+            insn_counts: shared.insn_counts.clone(),
+            faults: self.fetch.fault_stats(),
+            detection: self.fetch.detection_stats(),
+            demotions: degrade.map_or(0, DegradationController::demotions),
+            promotions: degrade.map_or(0, DegradationController::promotions),
+            final_scheme: self.fetch.current_scheme(),
+            transitions: degrade.map_or_else(Vec::new, |c| c.transitions().to_vec()),
+        }
+    }
+}
+
+/// The one simulation loop: executes `image` (booted as `machine`)
+/// architecturally once and fans each instruction out to every lane.
+/// `config` supplies the shared parameters (lane 0's configuration;
+/// [`simulate_lanes`] has checked the others agree). The sink observes
+/// lane 0.
+fn execute<S: TraceSink, L: AsMut<[Lane]>>(
+    mut machine: Machine,
+    image: &Image,
+    config: &SimConfig,
+    lanes: &mut L,
+    sink: &mut S,
+) -> Result<Shared, SimError> {
+    // Generic over the container so `simulate`'s one-lane array
+    // compiles to a loop of known length one, as fast as a dedicated
+    // single-lane loop.
+    let lanes = lanes.as_mut();
+    let mut data = DataSide::new(&config.mem);
     let mut btb = Btb::new(config.btb_entries);
     let mut insn_counts = config.collect_profile.then(|| vec![0u64; image.text.len()]);
 
@@ -311,14 +469,13 @@ pub fn simulate_traced<S: TraceSink>(
     let text_base = Image::TEXT_BASE;
     let text_len = text.len() as u32;
 
-    let mut cycles: u64 = 0;
     let mut instructions: u64 = 0;
     let mut checksum: u64 = 0;
     let mut reports: u64 = 0;
     let mut output = Vec::new();
     let mut mispredicts: u64 = 0;
-    // Scoreboard: the cycle at which each register's value is ready.
-    let mut ready = [0u64; 16];
+    // The address halves of the current instruction's data accesses.
+    let mut accesses = [DataAccess::default(); 16];
     // Wall-clock watchdog, sampled every 16 K instructions so the
     // `Instant` syscall stays off the hot path.
     let watchdog = config.time_limit.map(|limit| (Instant::now(), limit));
@@ -330,17 +487,14 @@ pub fn simulate_traced<S: TraceSink>(
     // Straight-line batching: a per-slot map of instructions whose step
     // is `Control::Next` with unit issue, no data access and no slow
     // result whichever way the condition resolves. Runs of those fetch
-    // through `MemorySystem::fetch_block`, amortising the I-TLB lookup
+    // through `FetchSide::fetch_block`, amortising the I-TLB lookup
     // and same-line bookkeeping over the cache line, cycle-exactly.
     // Tracing and interval sampling need per-fetch visibility, so
-    // batching only arms on the plain path.
+    // batching only arms on the plain path of a lone lane.
     let simple: Vec<bool> = text.iter().map(|&insn| straight_line_simple(insn)).collect();
+    let sources: Vec<u16> = text.iter().map(|&insn| source_mask(insn)).collect();
     let line_words = config.mem.icache.geometry.words_per_line();
     let batching = !sink.enabled() && sample_period.is_none();
-    // Upper bound on every scoreboard entry, maintained where slow
-    // results publish so the batch guard can prove "no stall possible
-    // inside this run" without scanning `ready`.
-    let mut ready_bound: u64 = 0;
 
     loop {
         if instructions >= config.max_instructions {
@@ -366,54 +520,64 @@ pub fn simulate_traced<S: TraceSink>(
         // instruction loop would only have added fetch cycles plus the
         // one issue cycle the fetch already accounts — which is what
         // `fetch_block` charges. The run is clamped to the cache line,
-        // the text section, the instruction budget and the next
-        // watchdog sampling point, so every skipped loop-top check is
-        // one that could not have fired.
-        if batching && cycles >= ready_bound && simple[index as usize] {
-            let line_left = line_words - (pc / Insn::SIZE) % line_words;
-            let limit = u64::from(line_left.min(text_len - index))
-                .min(config.max_instructions - instructions)
-                .min(0x4000 - (instructions & 0x3FFF)) as u32;
-            let mut run = 1u32;
-            while run < limit && simple[(index + run) as usize] {
-                run += 1;
-            }
-            if run > 1 {
-                let timing = mem.fetch_block(pc, run);
-                cycles += u64::from(timing.cycles);
-                degrade_window(&mut degrade, &mut mem);
-                for k in 0..run {
-                    let slot = (index + k) as usize;
-                    if let Some(counts) = insn_counts.as_mut() {
-                        counts[slot] += 1;
-                    }
-                    let outcome = step(&mut machine, text[slot], pc.wrapping_add(k * 4))?;
-                    debug_assert_eq!(outcome.control, Control::Next);
-                    debug_assert!(outcome.slow_dest.is_none() && outcome.mem_len == 0);
-                    debug_assert!(matches!(outcome.class, InsnClass::Alu | InsnClass::Nop));
-                    instructions += 1;
+        // the text section, the instruction budget, the next watchdog
+        // sampling point and the next degradation window boundary, so
+        // every skipped per-fetch check is one that could not have
+        // fired.
+        if let [lane] = &mut *lanes {
+            if batching && lane.clock.cycles >= lane.clock.ready_bound && simple[index as usize] {
+                let line_left = line_words - (pc / Insn::SIZE) % line_words;
+                let window_left = lane.degrade.as_ref().map_or(u64::MAX, |ctrl| {
+                    ctrl.next_boundary().saturating_sub(lane.fetch.fetch_stats().fetches)
+                });
+                let limit = u64::from(line_left.min(text_len - index))
+                    .min(config.max_instructions - instructions)
+                    .min(0x4000 - (instructions & 0x3FFF))
+                    .min(window_left) as u32;
+                let mut run = 1u32;
+                while run < limit && simple[(index + run) as usize] {
+                    run += 1;
                 }
-                machine.pc = pc.wrapping_add(run * 4);
-                continue;
+                if run > 1 {
+                    let timing = lane.fetch.fetch_block(pc, run);
+                    lane.clock.cycles += u64::from(timing.cycles);
+                    degrade_window(&mut lane.degrade, &mut lane.fetch);
+                    for k in 0..run {
+                        let slot = (index + k) as usize;
+                        if let Some(counts) = insn_counts.as_mut() {
+                            counts[slot] += 1;
+                        }
+                        let outcome = step(&mut machine, text[slot], pc.wrapping_add(k * 4))?;
+                        debug_assert_eq!(outcome.control, Control::Next);
+                        debug_assert!(outcome.slow_dest.is_none() && outcome.mem_len == 0);
+                        debug_assert!(matches!(outcome.class, InsnClass::Alu | InsnClass::Nop));
+                        instructions += 1;
+                    }
+                    machine.pc = pc.wrapping_add(run * 4);
+                    continue;
+                }
             }
         }
 
         // Fetch: I-TLB + I-cache (stalls include miss fills and
-        // way-hint penalties).
-        let fetch = if sink.enabled() {
-            let (timing, mut event) = mem.fetch_traced(pc);
-            event.cycle = cycles;
-            sink.record_fetch(&event);
-            timing
-        } else {
-            mem.fetch(pc)
-        };
-        cycles += u64::from(fetch.cycles);
-        degrade_window(&mut degrade, &mut mem);
+        // way-hint penalties), on every lane.
+        for lane in lanes.iter_mut() {
+            let fetch = if sink.enabled() {
+                let (timing, mut event) = lane.fetch.fetch_traced(pc);
+                event.cycle = lane.clock.cycles;
+                sink.record_fetch(&event);
+                timing
+            } else {
+                lane.fetch.fetch(pc)
+            };
+            lane.clock.cycles += u64::from(fetch.cycles);
+            degrade_window(&mut lane.degrade, &mut lane.fetch);
+        }
 
-        if let Some(period) = sample_period {
+        if let (Some(period), Some(lane)) = (sample_period, lanes.first()) {
+            let cycles = lane.clock.cycles;
             if cycles - sample_start >= period {
-                let now = *mem.fetch_stats();
+                let now = *lane.fetch.fetch_stats();
                 sink.record_interval(IntervalSample {
                     start_cycle: sample_start,
                     end_cycle: cycles,
@@ -429,102 +593,67 @@ pub fn simulate_traced<S: TraceSink>(
             counts[index as usize] += 1;
         }
 
-        // Execute architecturally.
+        // Execute architecturally, once for every lane.
         let outcome = step(&mut machine, insn, pc)?;
         instructions += 1;
 
-        // Scoreboard: stall issue until the sources are ready. The
-        // model approximates "sources" as every register the decoder
-        // could need — cheap and adequate at this abstraction level:
-        // we track only *slow* results (loads, multiplies), which are
-        // the XScale's visible interlocks.
-        let (uses, stall_limit) = source_ready_bound(&ready, insn);
-        if uses && stall_limit > cycles {
-            cycles = stall_limit;
+        // The data side's address half and the branch prediction are
+        // shared facts of the one execution; each lane then times them
+        // against its own clock.
+        let accesses = &mut accesses[..usize::from(outcome.mem_len)];
+        for (access, (addr, write)) in accesses.iter_mut().zip(outcome.mem_accesses()) {
+            *access = data.probe(addr, write);
         }
-
-        // Issue/execute cycle(s).
-        let issue_cycles: u64 = match outcome.class {
-            InsnClass::AluRegShift => 2,
-            InsnClass::Block(n) => u64::from(n.max(1)),
-            InsnClass::Mul => 1,
-            _ => 1,
+        let branch_penalty = match outcome.control {
+            Control::Branch { taken: true, target } if !btb.predicts(pc, target) => {
+                mispredicts += 1;
+                btb.learn(pc, target);
+                config.branch_penalty
+            }
+            _ => 0,
         };
-        // The fetch cycle already accounted one cycle of progress for
-        // this instruction; only extra issue cycles add on.
-        cycles += issue_cycles - 1;
-
-        // Slow results: published later than issue.
-        if let Some(dest) = outcome.slow_dest {
-            let latency = match outcome.class {
-                InsnClass::Load => config.load_latency,
-                InsnClass::Mul => config.mul_latency,
-                _ => 0,
-            };
-            ready[dest.index()] = cycles + u64::from(latency);
-            ready_bound = ready_bound.max(ready[dest.index()]);
+        let insn_sources = sources[index as usize];
+        for lane in lanes.iter_mut() {
+            retire(
+                &mut lane.clock,
+                &mut lane.buffer,
+                insn_sources,
+                &outcome,
+                accesses,
+                branch_penalty,
+                config,
+            );
         }
 
-        // Data memory: blocking cache; stalls add directly.
-        for (addr, write) in outcome.mem_accesses() {
-            let stall = if write { mem.store(addr, cycles) } else { mem.load(addr, cycles) };
-            cycles += u64::from(stall);
-        }
-
-        // Control flow + branch prediction.
         match outcome.control {
             Control::Next => machine.pc = pc.wrapping_add(4),
             Control::Branch { taken, target } => {
-                if taken {
-                    if !btb.predicts(pc, target) {
-                        mispredicts += 1;
-                        cycles += u64::from(config.branch_penalty);
-                        btb.learn(pc, target);
-                    }
-                    machine.pc = target;
-                } else {
-                    machine.pc = pc.wrapping_add(4);
-                }
+                machine.pc = if taken { target } else { pc.wrapping_add(4) };
             }
             Control::Syscall { number, arg } => {
                 machine.pc = pc.wrapping_add(4);
                 match number {
                     syscall::EXIT => {
-                        if sample_period.is_some() {
+                        if let (Some(_), Some(lane)) = (sample_period, lanes.first()) {
                             // Flush the final partial interval so the
                             // series sums to the aggregate counters.
-                            let now = *mem.fetch_stats();
-                            let tail = now.delta(&sample_snapshot);
+                            let tail = lane.fetch.fetch_stats().delta(&sample_snapshot);
                             if tail.fetches > 0 {
                                 sink.record_interval(IntervalSample {
                                     start_cycle: sample_start,
-                                    end_cycle: cycles,
+                                    end_cycle: lane.clock.cycles,
                                     counters: FetchCounters::from(&tail),
                                 });
                             }
                         }
-                        return Ok(RunResult {
+                        return Ok(Shared {
                             exit_code: arg,
                             checksum,
                             output,
                             instructions,
-                            cycles,
-                            fetch: *mem.fetch_stats(),
-                            dcache: *mem.dcache_stats(),
-                            itlb: *mem.itlb_stats(),
-                            dtlb: *mem.dtlb_stats(),
-                            branch_mispredicts: mispredicts,
+                            mispredicts,
                             insn_counts,
-                            faults: mem.fault_stats(),
-                            detection: mem.detection_stats(),
-                            demotions: degrade.as_ref().map_or(0, DegradationController::demotions),
-                            promotions: degrade
-                                .as_ref()
-                                .map_or(0, DegradationController::promotions),
-                            final_scheme: mem.current_scheme(),
-                            transitions: degrade
-                                .as_ref()
-                                .map_or_else(Vec::new, |c| c.transitions().to_vec()),
+                            data,
                         });
                     }
                     syscall::PUTC => output.push(arg as u8),
@@ -539,11 +668,77 @@ pub fn simulate_traced<S: TraceSink>(
     }
 }
 
+/// The per-instruction timing rule, applied by each lane after its
+/// fetch: scoreboard stall on the `sources` registers, issue cycles,
+/// slow-result publish, data-side stalls (`accesses` are the shared
+/// address halves, settled against the lane's own write buffer and
+/// clock) and the branch penalty.
+#[inline]
+fn retire(
+    clock: &mut Clock,
+    buffer: &mut WriteBuffer,
+    sources: u16,
+    outcome: &Step,
+    accesses: &[DataAccess],
+    branch_penalty: u32,
+    config: &SimConfig,
+) {
+    // The clock lives in a local for the whole rule: a lane's fields
+    // stay in memory across the write-buffer calls, a local does not.
+    let mut cycles = clock.cycles;
+
+    // Scoreboard: stall issue until the sources are ready. The
+    // model approximates "sources" as every register the decoder
+    // could need — cheap and adequate at this abstraction level:
+    // we track only *slow* results (loads, multiplies), which are
+    // the XScale's visible interlocks. `ready_bound` caps every
+    // entry, so a lane already past it cannot stall.
+    if clock.ready_bound > cycles {
+        let mut bits = sources;
+        while bits != 0 {
+            cycles = cycles.max(clock.ready[bits.trailing_zeros() as usize]);
+            bits &= bits - 1;
+        }
+    }
+
+    // Issue/execute cycle(s).
+    let issue_cycles: u64 = match outcome.class {
+        InsnClass::AluRegShift => 2,
+        InsnClass::Block(n) => u64::from(n.max(1)),
+        InsnClass::Mul => 1,
+        _ => 1,
+    };
+    // The fetch cycle already accounted one cycle of progress for
+    // this instruction; only extra issue cycles add on.
+    cycles += issue_cycles - 1;
+
+    // Slow results: published later than issue.
+    if let Some(dest) = outcome.slow_dest {
+        let latency = match outcome.class {
+            InsnClass::Load => config.load_latency,
+            InsnClass::Mul => config.mul_latency,
+            _ => 0,
+        };
+        let ready = cycles + u64::from(latency);
+        clock.ready[dest.index()] = ready;
+        clock.ready_bound = clock.ready_bound.max(ready);
+    }
+
+    // Data memory: blocking cache; stalls add directly.
+    for access in accesses {
+        let stall = access.tlb_stall + buffer.settle(access.probe, cycles).stall_cycles;
+        cycles += u64::from(stall);
+    }
+
+    // Taken-branch misprediction: the front end refills.
+    clock.cycles = cycles + u64::from(branch_penalty);
+}
+
 /// Closes any degradation windows the fetch counter has passed and
 /// applies the controller's scheme decision. The `next_boundary` guard
 /// keeps this to one branch per fetch on the hot path.
 #[inline]
-fn degrade_window(degrade: &mut Option<DegradationController>, mem: &mut MemorySystem) {
+fn degrade_window(degrade: &mut Option<DegradationController>, mem: &mut FetchSide) {
     if let Some(ctrl) = degrade.as_mut() {
         let fetches = mem.fetch_stats().fetches;
         if fetches >= ctrl.next_boundary() {
@@ -600,16 +795,11 @@ fn straight_line_simple(insn: Insn) -> bool {
     }
 }
 
-/// Returns whether the instruction reads any registers and the latest
-/// ready-cycle among them.
-fn source_ready_bound(ready: &[u64; 16], insn: Insn) -> (bool, u64) {
+/// The registers `insn` reads, as a bit set (bit `r` for register `r`).
+fn source_mask(insn: Insn) -> u16 {
     use wp_isa::{MemOffset, Op, Operand, ShiftAmount};
-    let mut max = 0u64;
-    let mut uses = false;
-    let mut use_reg = |r: Reg| {
-        uses = true;
-        max = max.max(ready[r.index()]);
-    };
+    let mut mask = 0u16;
+    let mut use_reg = |r: Reg| mask |= 1 << r.index();
     match insn.op {
         Op::Alu { op, rn, op2, .. } => {
             if op.has_rn() {
@@ -646,7 +836,7 @@ fn source_ready_bound(ready: &[u64; 16], insn: Insn) -> (bool, u64) {
         Op::BranchReg { rm } => use_reg(rm),
         _ => {}
     }
-    (uses, max)
+    mask
 }
 
 #[cfg(test)]
@@ -988,7 +1178,10 @@ mod tests {
         // path must respect the scoreboard guard, the line clamp and
         // elision accounting. The traced run disables batching, so
         // equality proves the batch path is cycle-exact — not merely
-        // checksum-preserving — under every fetch scheme.
+        // checksum-preserving — under every fetch scheme. The armed
+        // configuration adds faults and a degradation window that is
+        // not a multiple of the line, so window boundaries land inside
+        // straight-line runs and the batch must stop at each one.
         let body: String =
             (0..20).map(|i| format!("                add r0, r0, #{}\n", i + 1)).collect();
         let src = format!(
@@ -1009,23 +1202,28 @@ mod tests {
         );
         let image = link(&src);
         let geom = CacheGeometry::new(2048, 4, 32);
-        for mem in [
-            MemoryConfig::baseline(geom),
-            MemoryConfig::way_placement(geom, Image::TEXT_BASE, 1024),
-            MemoryConfig::way_memoization(geom),
-            MemoryConfig::way_prediction(geom),
+        let policy =
+            crate::DegradationPolicy { window_fetches: 97, demote_faults: 1, promote_windows: 2 };
+        let armed = SimConfig::new(
+            MemoryConfig::way_placement(geom, Image::TEXT_BASE, 1024)
+                .with_fault(wp_mem::FaultConfig::all(0xA4ED, 2_000)),
+        )
+        .with_degradation(policy);
+        for cfg in [
+            SimConfig::new(MemoryConfig::baseline(geom)),
+            SimConfig::new(MemoryConfig::way_placement(geom, Image::TEXT_BASE, 1024)),
+            SimConfig::new(MemoryConfig::way_memoization(geom)),
+            SimConfig::new(MemoryConfig::way_prediction(geom)),
+            armed,
         ] {
-            let cfg = SimConfig::new(mem).with_profile();
+            let cfg = cfg.with_profile();
             let plain = simulate(&image, &cfg).expect("untraced");
             let mut recorder = wp_trace::TraceRecorder::new().with_capacity(1 << 16);
             let traced = simulate_traced(&image, &cfg, &mut recorder).expect("traced");
-            assert_eq!(plain.cycles, traced.cycles, "{:?}", mem.icache.scheme);
-            assert_eq!(plain.checksum, traced.checksum);
-            assert_eq!(plain.instructions, traced.instructions);
-            assert_eq!(plain.fetch, traced.fetch, "{:?}", mem.icache.scheme);
-            assert_eq!(plain.itlb, traced.itlb);
-            assert_eq!(plain.insn_counts, traced.insn_counts);
+            assert_eq!(plain, traced, "{:?}", cfg.mem.icache.scheme);
         }
+        let armed = simulate(&image, &armed).expect("armed");
+        assert!(armed.demotions > 0 && armed.promotions > 0, "{:?}", armed.transitions);
     }
 
     #[test]

@@ -28,6 +28,12 @@ if [[ "$quick" -eq 1 ]]; then
     echo "== layout-equivalence properties (quick sweep) =="
     WP_QUICK=1 cargo test -q -p wp-bench --test layout_equivalence
 
+    echo "== lock-step lane equivalence (quick sweep) =="
+    WP_QUICK=1 cargo test -q -p wp-bench --test lane_equivalence
+
+    echo "== batched fetch stops at degradation window boundaries =="
+    cargo test -q -p wp-sim --lib batched_straight_line_runs_match_per_fetch_timing
+
     echo "== layout competition smoke (six passes, both schemes) =="
     lc_dir="$(mktemp -d)"
     WP_BENCH_DIR="$lc_dir" cargo run --release -q --bin layout_compare -- --quick
