@@ -2,9 +2,11 @@
 //! bless → gate clean, perturb → gate flags with exit code exactly 1,
 //! and two independent bless runs are byte-identical.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use wp_bench::baseline::{bless, gate, BASELINE_FILES, PERF_BASELINE_FILE};
+use wp_bench::perf::PERF_SCHEMA;
+use wp_bench::Json;
 use wp_tune::DiffThresholds;
 
 /// A fresh scratch directory under the system temp dir; any leftover
@@ -13,6 +15,17 @@ fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wp-baseline-test-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The `schema` field of the manifest at `path`.
+fn schema_of(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).expect("read manifest");
+    let manifest = Json::parse(&text).expect("parse manifest");
+    manifest
+        .get("schema")
+        .and_then(Json::as_str)
+        .expect("manifest schema")
+        .to_string()
 }
 
 #[test]
@@ -25,12 +38,28 @@ fn bless_gate_round_trip_and_perturbation() {
         assert!(path.is_file(), "{} missing", path.display());
     }
 
-    // A gate straight after a bless must be clean: same tree, same
-    // pipelines, deterministic manifests.
+    // A gate straight after a bless must be clean on every
+    // deterministic manifest: same tree, same pipelines. The wall-clock
+    // manifest, picked out by its schema, is re-measured here while
+    // this binary's other tests load the CPUs, so its clean gate is
+    // left to `perf_speedup_drift_gates_under_generous_thresholds` and
+    // to CI's serial `gate --dir baselines` step.
     let report =
         gate(&blessed, &scratch("fresh-clean"), true, DiffThresholds::default()).expect("gate");
-    assert!(report.is_clean(), "fresh gate flagged: {:?}", report.json().to_compact());
-    assert_eq!(report.exit_code(), 0);
+    let deterministic: Vec<_> = report
+        .diffs
+        .iter()
+        .filter(|(name, _)| schema_of(&blessed.join(name)) != PERF_SCHEMA)
+        .collect();
+    assert_eq!(deterministic.len(), BASELINE_FILES.len(), "one wall-clock manifest");
+    for (name, diff) in deterministic {
+        assert_eq!(
+            diff.regressions(),
+            0,
+            "fresh gate flagged {name}: {}",
+            diff.json().to_compact()
+        );
+    }
 
     // Perturb one blessed chain energy by far more than the 2%
     // relative gate and the 1024 pJ absolute floor (prepending a digit

@@ -16,11 +16,25 @@
 //! (ways is a power of two ≤ 64 per set-word by construction of the
 //! bitset indexing).
 //!
-//! Each slot also carries a **tag parity bit**, written on every fill.
-//! The fault injector's [`flip_tag_bit`](CamArray::flip_tag_bit)
-//! deliberately leaves the parity bit stale, so a single-bit tag flip
-//! is always caught by [`tag_parity_ok`](CamArray::tag_parity_ok) the
-//! next time a protected access scrubs the way it is about to trust.
+//! Each slot is also protected by a **tag parity bit**, written on
+//! every fill. The fault injector's
+//! [`flip_tag_bit`](CamArray::flip_tag_bit) deliberately leaves the
+//! parity bit stale, so a single-bit tag flip is always caught by
+//! [`tag_parity_ok`](CamArray::tag_parity_ok) the next time a protected
+//! access scrubs the way it is about to trust.
+//!
+//! The array does not store the parity bit itself. It stores, per
+//! slot, whether the check would *disagree*: whether the parity written
+//! at fill no longer matches the parity of the stored tag. That is
+//! exact because only four operations write `tags`: a fill writes a
+//! tag together with its parity (agreement), an invalidation zeroes
+//! both (agreement), and a flip changes one tag bit and so toggles the
+//! tag's parity (disagreement toggles). The disagreement bit is
+//! therefore "flipped an odd number of times since the fill", which is
+//! precisely "stored parity ≠ parity(current tag)". A check becomes a
+//! bit test, and [`parity_scrub`](CamArray::parity_scrub) checks up to
+//! 64 ways of a set with two word loads instead of one popcount per
+//! way.
 
 use crate::geometry::GeometryShifts;
 use crate::rng::SplitMix64;
@@ -65,8 +79,10 @@ pub struct CamArray {
     valid: Vec<u64>,
     /// Dirty bits, one per slot, packed 64 to a word.
     dirty: Vec<u64>,
-    /// Tag parity check bits, one per slot, written at fill time.
-    parity: Vec<u64>,
+    /// Parity-disagreement bits, one per slot: set when the tag's
+    /// fill-time parity bit no longer matches the stored tag (it was
+    /// flipped an odd number of times since the fill).
+    disagree: Vec<u64>,
     /// LRU timestamps, indexed `set * ways + way`.
     last_use: Vec<u64>,
     round_robin: Vec<u32>,
@@ -92,7 +108,7 @@ impl CamArray {
             tags: vec![0; slots],
             valid: vec![0; bitset_words(slots)],
             dirty: vec![0; bitset_words(slots)],
-            parity: vec![0; bitset_words(slots)],
+            disagree: vec![0; bitset_words(slots)],
             last_use: vec![0; slots],
             round_robin: vec![0; geom.sets() as usize],
             rng: SplitMix64::new(seed),
@@ -156,6 +172,23 @@ impl CamArray {
             (0..ways).fold(0u64, |acc, w| {
                 acc | (u64::from(self.is_valid(base + w as usize)) << w.min(63))
             })
+        }
+    }
+
+    /// Word `word` of `set`'s bits in the bitset `bits`: the bits of
+    /// ways `64 * word ..` as the low bits of a `u64`. A set of up to 64
+    /// ways is one aligned run inside a bitset word (see
+    /// [`set_valid_bits`](CamArray::set_valid_bits)); a wider set is
+    /// `ways / 64` whole words.
+    #[inline]
+    fn set_word(&self, bits: &[u64], set: u32, word: u32) -> u64 {
+        let base = self.slot(set, 0) + 64 * word as usize;
+        let ways = self.shifts.ways;
+        if ways >= 64 {
+            bits[base >> 6]
+        } else {
+            debug_assert_eq!(word, 0, "a set of {ways} ways has one word");
+            (bits[base >> 6] >> (base & 63)) & ((1u64 << ways) - 1)
         }
     }
 
@@ -252,21 +285,10 @@ impl CamArray {
         self.tags[slot] = tag;
         self.set_valid(slot);
         self.clear_dirty_bit(slot);
-        self.write_parity_bit(slot, tag);
+        // The fill writes the tag's parity alongside it: they agree.
+        self.disagree[slot >> 6] &= !(1u64 << (slot & 63));
         self.last_use[slot] = self.tick;
         FillOutcome { way, evicted, evicted_dirty }
-    }
-
-    #[inline]
-    fn write_parity_bit(&mut self, slot: usize, tag: u32) {
-        let bit = u64::from(tag.count_ones() & 1);
-        let word = &mut self.parity[slot >> 6];
-        *word = (*word & !(1u64 << (slot & 63))) | (bit << (slot & 63));
-    }
-
-    #[inline]
-    fn parity_bit(&self, slot: usize) -> bool {
-        self.parity[slot >> 6] & (1u64 << (slot & 63)) != 0
     }
 
     /// Compares the stored parity check bit of (`set`, `way`) against
@@ -280,7 +302,19 @@ impl CamArray {
         if !self.is_valid(slot) {
             return None;
         }
-        Some(self.parity_bit(slot) == (self.tags[slot].count_ones() & 1 == 1))
+        Some(self.disagree[slot >> 6] & (1u64 << (slot & 63)) == 0)
+    }
+
+    /// Parity-checks word `word` of `set` — ways `64 * word ..` up to
+    /// 64 of them — at once: returns the ways whose check fails, as
+    /// bits relative to `64 * word`, and how many valid ways were
+    /// checked. Equal, way for way, to calling
+    /// [`tag_parity_ok`](CamArray::tag_parity_ok) on each of those ways;
+    /// a set of `ways` ways has `ways.div_ceil(64)` words.
+    #[must_use]
+    pub(crate) fn parity_scrub(&self, set: u32, word: u32) -> (u64, u32) {
+        let valid = self.set_word(&self.valid, set, word);
+        (self.set_word(&self.disagree, set, word) & valid, valid.count_ones())
     }
 
     /// Invalidates a single slot — the recovery action for a detected
@@ -290,7 +324,7 @@ impl CamArray {
         let slot = self.slot(set, way);
         self.valid[slot >> 6] &= !(1u64 << (slot & 63));
         self.dirty[slot >> 6] &= !(1u64 << (slot & 63));
-        self.parity[slot >> 6] &= !(1u64 << (slot & 63));
+        self.disagree[slot >> 6] &= !(1u64 << (slot & 63));
         self.tags[slot] = 0;
         self.last_use[slot] = 0;
     }
@@ -305,6 +339,9 @@ impl CamArray {
             return false;
         }
         self.tags[slot] ^= 1 << (bit % self.shifts.tag_bits);
+        // One flipped bit toggles the tag's parity, so it toggles
+        // whether the fill-time parity bit still agrees.
+        self.disagree[slot >> 6] ^= 1u64 << (slot & 63);
         true
     }
 
@@ -313,7 +350,7 @@ impl CamArray {
         self.tags.fill(0);
         self.valid.fill(0);
         self.dirty.fill(0);
-        self.parity.fill(0);
+        self.disagree.fill(0);
         self.last_use.fill(0);
         self.round_robin.fill(0);
         self.tick = 0;
@@ -512,6 +549,91 @@ mod tests {
         let out = cam.fill(0x2000, 1);
         assert_eq!(out.evicted, None);
         assert!(!out.evicted_dirty);
+    }
+
+    /// The disagreement bitset against an oracle that keeps its own copy
+    /// of every slot's tag and fill-time parity bit and recomputes each
+    /// check from them: random fills, flips, single invalidations and
+    /// flushes on 1- to 128-way arrays, with every `tag_parity_ok` and
+    /// every set-wide scrub word compared after every step.
+    #[test]
+    fn parity_bitset_matches_recomputed_parity() {
+        let parity = |tag: u32| tag.count_ones() & 1 == 1;
+        for ways in [1u32, 8, 32, 64, 128] {
+            let geom = CacheGeometry::new(4 * ways * 32, ways, 32);
+            let sets = geom.sets();
+            let mut cam = CamArray::new(geom, ReplacementPolicy::RoundRobin, 0);
+            // Per slot: the stored tag and the parity bit its fill wrote.
+            let mut shadow: Vec<Option<(u32, bool)>> = vec![None; (sets * ways) as usize];
+            let mut rng = SplitMix64::new(0x9A41_7000 + u64::from(ways));
+            let mut failures_seen = 0;
+            for step in 0..3000 {
+                let set = rng.below(u64::from(sets)) as u32;
+                let way = rng.below(u64::from(ways)) as u32;
+                let slot = (set * ways + way) as usize;
+                match rng.below(1000) {
+                    0..=399 => {
+                        let tag = rng.next_u32() >> (32 - geom.tag_bits());
+                        cam.fill(geom.addr_of(tag, set), way);
+                        shadow[slot] = Some((tag, parity(tag)));
+                    }
+                    400..=799 => {
+                        let bit = rng.below(64) as u32;
+                        let corrupted = cam.flip_tag_bit(set, way, bit);
+                        assert_eq!(corrupted, shadow[slot].is_some(), "{ways}-way step {step}");
+                        if let Some((tag, _)) = shadow[slot].as_mut() {
+                            *tag ^= 1 << (bit % geom.tag_bits());
+                        }
+                    }
+                    800..=997 => {
+                        cam.invalidate_slot(set, way);
+                        shadow[slot] = None;
+                    }
+                    _ => {
+                        cam.invalidate_all();
+                        shadow.fill(None);
+                    }
+                }
+                for set in 0..sets {
+                    let mut want_failed = vec![0u64; ways.div_ceil(64) as usize];
+                    let mut want_checked = vec![0u32; want_failed.len()];
+                    for way in 0..ways {
+                        let want = shadow[(set * ways + way) as usize]
+                            .map(|(tag, fill_parity)| parity(tag) == fill_parity);
+                        assert_eq!(
+                            cam.tag_parity_ok(set, way),
+                            want,
+                            "{ways}-way step {step}: set {set} way {way}"
+                        );
+                        let word = (way / 64) as usize;
+                        want_checked[word] += u32::from(want.is_some());
+                        if want == Some(false) {
+                            want_failed[word] |= 1 << (way % 64);
+                            failures_seen += 1;
+                        }
+                    }
+                    for word in 0..want_failed.len() {
+                        assert_eq!(
+                            cam.parity_scrub(set, word as u32),
+                            (want_failed[word], want_checked[word]),
+                            "{ways}-way step {step}: set {set} word {word}"
+                        );
+                    }
+                }
+            }
+            // The shadow tracked the array's real tags, not a model of them.
+            let mut resident: Vec<(u32, u32, u32)> = cam.resident_lines().collect();
+            resident.sort_unstable();
+            let mut expected: Vec<(u32, u32, u32)> = (0..sets * ways)
+                .filter_map(|slot| {
+                    let (set, way) = (slot / ways, slot % ways);
+                    shadow[slot as usize].map(|(tag, _)| (geom.addr_of(tag, set), set, way))
+                })
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(resident, expected, "{ways}-way tags");
+            assert!(failures_seen > 0, "{ways}-way: no parity failure was ever exercised");
+        }
     }
 
     #[test]

@@ -825,6 +825,35 @@ mod tests {
         assert_eq!(mem.fetch_stats().fetches, 0);
     }
 
+    /// A machine built without same-line elision keeps it off through
+    /// demotion and re-promotion: a scheme switch cannot add hardware.
+    #[test]
+    fn no_elision_machine_never_elides_after_a_scheme_switch() {
+        let geom = CacheGeometry::new(2048, 4, 32);
+        let mut config = MemoryConfig::way_placement(geom, 0x8000, 2048);
+        config.icache.same_line_elision = false;
+        let mut fetch = FetchSide::new(config.with_detection());
+        let straight_line = |fetch: &mut FetchSide| {
+            for i in 0..64u32 {
+                fetch.fetch(0x8000 + i * 4);
+            }
+        };
+        straight_line(&mut fetch);
+        for scheme in [
+            FetchScheme::WayMemoization,
+            FetchScheme::Baseline,
+            FetchScheme::WayMemoization,
+            FetchScheme::WayPlacement,
+        ] {
+            fetch.set_fetch_scheme(scheme);
+            straight_line(&mut fetch);
+            assert!(!fetch.icache().config().same_line_elision, "{scheme:?} turned elision on");
+        }
+        assert_eq!(fetch.fetch_stats().same_line_elisions, 0);
+        assert_eq!(fetch.fetch_stats().fetches, 5 * 64);
+        assert_eq!(fetch.icache().config(), &config.icache, "re-promoted to the built machine");
+    }
+
     #[test]
     fn reset_restores_cold_state() {
         let geom = CacheGeometry::new(2048, 4, 32);

@@ -188,6 +188,10 @@ pub struct InstructionCache {
     scheme_fetch: fn(&mut InstructionCache, u32, bool) -> FetchOutcome,
     /// Whether `record_prev` has work to do (way-memoization only).
     track_prev: bool,
+    /// Whether the machine was built with same-line elision (the
+    /// constructed `same_line_elision`); a runtime scheme switch never
+    /// turns elision on without it.
+    elision_built: bool,
 }
 
 impl InstructionCache {
@@ -224,6 +228,7 @@ impl InstructionCache {
             mru_way: vec![0; geom.sets() as usize],
             scheme_fetch: Self::dispatch_for(config.scheme),
             track_prev: config.scheme == FetchScheme::WayMemoization,
+            elision_built: config.same_line_elision,
         }
     }
 
@@ -242,15 +247,16 @@ impl InstructionCache {
     /// the new scheme starts from invariant-clean state: lines filled
     /// under a demoted scheme may violate the way-placement invariant,
     /// and the refill cost of the flush is exactly the honest price of
-    /// a mode switch. Elision follows the scheme's canonical setting
-    /// (off for the baseline full-CAM probe). Counters persist; a
-    /// no-op when `scheme` is already active.
+    /// a mode switch. Elision is on only when the new scheme uses it
+    /// (not the baseline full-CAM probe) *and* the machine was built
+    /// with it: a scheme switch cannot add hardware. Counters persist;
+    /// a no-op when `scheme` is already active.
     pub fn set_scheme(&mut self, scheme: FetchScheme) {
         if scheme == self.config.scheme {
             return;
         }
         self.config.scheme = scheme;
-        self.config.same_line_elision = scheme != FetchScheme::Baseline;
+        self.config.same_line_elision = self.elision_built && scheme != FetchScheme::Baseline;
         self.scheme_fetch = Self::dispatch_for(scheme);
         self.track_prev = scheme == FetchScheme::WayMemoization;
         self.array.invalidate_all();
@@ -362,27 +368,41 @@ impl InstructionCache {
     }
 
     /// Parity-scrubs one way of `addr`'s set before an access arms it.
-    /// A mismatch invalidates the slot (the line refills through the
-    /// normal miss path) and charges one recovery cycle.
     #[inline]
     fn scrub_tag_way(&mut self, addr: u32, way: u32) {
         let set = self.shifts.set_of(addr);
         if let Some(ok) = self.array.tag_parity_ok(set, way) {
             self.detect.parity_checks += 1;
             if !ok {
-                self.detect.record(DetectedFault::TagParity { set, way });
-                self.detect.lines_invalidated += 1;
-                self.array.invalidate_slot(set, way);
-                self.pending_recovery_cycles += 1;
+                self.recover_tag_parity(set, way);
             }
         }
     }
 
-    /// Parity-scrubs every way a full-width search is about to arm.
+    /// Parity-scrubs every way a full-width search is about to arm, up
+    /// to 64 ways per bitset word. Failing ways recover in ascending
+    /// order; the counters, recoveries and cycles are those of
+    /// [`scrub_tag_way`](InstructionCache::scrub_tag_way) on each way.
     fn scrub_full_set(&mut self, addr: u32) {
-        for way in 0..self.shifts.ways {
-            self.scrub_tag_way(addr, way);
+        let set = self.shifts.set_of(addr);
+        for word in 0..self.shifts.ways.div_ceil(64) {
+            let (mut failed, checked) = self.array.parity_scrub(set, word);
+            self.detect.parity_checks += u64::from(checked);
+            while failed != 0 {
+                self.recover_tag_parity(set, 64 * word + failed.trailing_zeros());
+                failed &= failed - 1;
+            }
         }
+    }
+
+    /// Recovers from a failed tag-parity check of (`set`, `way`): the
+    /// slot is invalidated (the line refills through the normal miss
+    /// path) and one recovery cycle is charged.
+    fn recover_tag_parity(&mut self, set: u32, way: u32) {
+        self.detect.record(DetectedFault::TagParity { set, way });
+        self.detect.lines_invalidated += 1;
+        self.array.invalidate_slot(set, way);
+        self.pending_recovery_cycles += 1;
     }
 
     /// Records `count` additional same-line elided fetches after a

@@ -25,7 +25,7 @@ use wp_core::wp_trace::TraceRecorder;
 use wp_core::wp_workloads::{Benchmark, InputSet};
 use wp_energy::CacheEnergyModel;
 use wp_mem::rng::SplitMix64;
-use wp_mem::{CacheGeometry, FaultConfig, MemoryConfig, MemorySystem};
+use wp_mem::{CacheGeometry, FaultConfig, FetchScheme, MemoryConfig, MemorySystem};
 
 fn quick() -> bool {
     // The unified env gate: WP_QUICK set, non-empty and not "0".
@@ -262,4 +262,68 @@ fn golden_stream_fingerprints_are_stable() {
             "{scheme}: golden fingerprint drifted (run with WP_PRINT_GOLDEN=1 to regenerate)"
         );
     }
+}
+
+/// Golden pinning of the armed, degraded fetch path a demoted chaos
+/// trial runs: a way-placement machine with every weave point firing at
+/// 5% and detection armed, switched to way-memoization a third of the
+/// way through and to the baseline full search at two thirds. The
+/// fingerprint folds the cycles and every fetch, detection and fault
+/// counter, so any drift in the parity scrub — which ways it checks,
+/// what it invalidates, what recovery it charges — changes the value.
+#[test]
+fn golden_degraded_armed_stream_is_stable() {
+    let geom = CacheGeometry::xscale_icache();
+    let config = MemoryConfig::way_placement(geom, 0, geom.size_bytes() / 2)
+        .with_fault(FaultConfig::all(0xDE6_7ADE, 50_000))
+        .with_detection();
+    let stream = synthetic_stream(0xA7ED, 12_000, 96 * 1024);
+    let mut mem = MemorySystem::new(config);
+    let mut cycles = 0u64;
+    let mut checks_before_baseline = 0;
+    for (i, &addr) in stream.iter().enumerate() {
+        if i == stream.len() / 3 {
+            mem.set_fetch_scheme(FetchScheme::WayMemoization);
+        } else if i == 2 * stream.len() / 3 {
+            mem.set_fetch_scheme(FetchScheme::Baseline);
+            checks_before_baseline = mem.detection_stats().parity_checks;
+        }
+        cycles += u64::from(mem.fetch(addr).cycles);
+    }
+    assert_eq!(mem.current_scheme(), FetchScheme::Baseline);
+    let detect = mem.detection_stats();
+    let faults = mem.fault_stats();
+    assert!(faults.tag_bit_flips > 0, "tag flips must land: {faults:?}");
+    assert!(detect.tag_parity_faults > 0, "the scrub must catch some: {detect:?}");
+    // The baseline third scrubs whole sets: far more checks per fetch
+    // than the one-way scrubs before it.
+    let baseline_fetches = (stream.len() - 2 * stream.len() / 3) as u64;
+    assert!(detect.parity_checks - checks_before_baseline > 4 * baseline_fetches);
+
+    let print = [
+        fingerprint(&mem, cycles),
+        detect.parity_checks,
+        detect.wp_bit_checks,
+        detect.tag_parity_faults,
+        detect.hint_mismatches,
+        detect.wp_bit_mismatches,
+        detect.hint_bounds_faults,
+        detect.lines_invalidated,
+        detect.hint_resets,
+        detect.wp_rederivations,
+        detect.recovery_cycles,
+        faults.opportunities,
+        faults.wp_bit_flips,
+        faults.hint_inversions,
+        faults.tag_bit_flips,
+    ]
+    .iter()
+    .fold(0xcbf2_9ce4_8422_2325u64, |acc, &v| (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3));
+    if wp_core::env::print_golden() {
+        println!("    degraded-armed: {print:#018x}");
+    }
+    assert_eq!(
+        print, 0xd245_fa92_844d_a1d2,
+        "degraded armed fingerprint drifted (run with WP_PRINT_GOLDEN=1 to regenerate)"
+    );
 }

@@ -22,6 +22,12 @@ if [[ "$quick" -eq 1 ]]; then
     echo "== SoA/per-line differential equivalence (quick sweep) =="
     WP_QUICK=1 cargo test -q -p wp-mem --test soa_equivalence
 
+    echo "== tag-parity disagreement bitset vs recomputed parity =="
+    cargo test -q -p wp-mem --lib parity_bitset_matches_recomputed_parity
+
+    echo "== a machine built without same-line elision never elides =="
+    cargo test -q -p wp-mem --lib no_elision_machine_never_elides_after_a_scheme_switch
+
     echo "== linker branch-target validation regressions =="
     cargo test -q -p wp-linker malformed
 
