@@ -13,9 +13,7 @@
 //! once for all nine cache points.
 
 use wp_bench::campaign::{keys, provenance_json, InputTags};
-use wp_bench::{
-    checkpoint_path, figure6_geometries, finish, mean_ed, mean_energy, Engine, Experiment, Json,
-};
+use wp_bench::{figure6_geometries, finish, mean_ed, mean_energy, Engine, Experiment, Json};
 use wp_core::wp_workloads::Benchmark;
 use wp_core::Scheme;
 
@@ -31,9 +29,7 @@ fn main() {
         "cache", "way-memo (E%,ED)", "wp 8KB (E%,ED)", "wp 2KB (E%,ED)"
     );
     let experiment = Experiment::new(Benchmark::ALL, figure6_geometries(), schemes);
-    // The grid is the longest campaign; checkpoint it so an
-    // interrupted run resumes from BENCH_fig6.checkpoint.jsonl.
-    let report = Engine::global().run_checkpointed(&experiment, &checkpoint_path("fig6"));
+    let report = Engine::global().run(&experiment);
 
     let mut best_ed = (f64::INFINITY, String::new());
     for geom in figure6_geometries() {

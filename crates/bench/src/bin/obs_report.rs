@@ -1,6 +1,6 @@
 //! `obs_report` — the observability layer's own acceptance harness.
 //!
-//! Runs the scripted fault/resume/chaos campaign of
+//! Runs the scripted fault/rerun/chaos campaign of
 //! [`wp_bench::obs::run_pipeline`] with metrics, journal and accounts
 //! armed, then emits:
 //!
@@ -92,7 +92,6 @@ fn render_frame(obs: &Arc<Obs>, tick: usize, out: &mut impl Write) -> usize {
         let marker = match outcome.as_deref() {
             None => SPINNER[tick % SPINNER.len()],
             Some("ok") => '✓',
-            Some("cached") => '↻',
             Some(_) => '✗',
         };
         lines.push(format!("  {marker} {label}"));
@@ -177,7 +176,7 @@ fn run(quick: bool, watch: bool, sabotage: bool) -> Result<i32, String> {
     }
     let failed = report.failed_checks().len();
     println!(
-        "checks: {}/{} passed | suite failures {} (want 1) | resume complete {} | chaos ok {}",
+        "checks: {}/{} passed | suite failures {} (want 1) | rerun complete {} | chaos ok {}",
         report.checks.len() - failed,
         report.checks.len(),
         report.faulted.failures.len(),
@@ -185,7 +184,7 @@ fn run(quick: bool, watch: bool, sabotage: bool) -> Result<i32, String> {
         !report.chaos.failed(),
     );
 
-    let (plain_ns, armed_ns, overhead_pct) = measure_overhead(quick)?;
+    let (plain_ns, armed_ns, overhead_pct) = measure_overhead()?;
     let overhead_ok = overhead_pct < OBS_OVERHEAD_LIMIT_PCT;
     println!(
         "armed overhead: {overhead_pct:.3}% (plain {:.2} ms, armed {:.2} ms, \

@@ -101,7 +101,9 @@ pub mod keys {
 
     /// Global salt mixed into every key. Bump the epoch to invalidate
     /// the entire store after a change that alters payloads without
-    /// altering any key input (e.g. a simulator fix).
+    /// altering any key input (e.g. a simulator fix). The chaos and obs
+    /// nodes also mix in their manifest's schema tag, so bumping a tag
+    /// invalidates only that node.
     pub const CAMPAIGN_EPOCH: &str = "wp-campaign/epoch-1";
 
     pub(crate) fn measure_parts(
@@ -301,6 +303,7 @@ pub mod keys {
         let mut parts = vec![
             "chaos".to_string(),
             CAMPAIGN_EPOCH.to_string(),
+            crate::chaos::CHAOS_SCHEMA.to_string(),
             quick.to_string(),
             set_name(set).to_string(),
         ];
@@ -321,6 +324,7 @@ pub mod keys {
         let mut parts = vec![
             "obs".to_string(),
             CAMPAIGN_EPOCH.to_string(),
+            crate::obs::OBS_SCHEMA.to_string(),
             quick.to_string(),
             experiment.json().to_compact(),
         ];

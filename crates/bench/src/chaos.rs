@@ -1,5 +1,5 @@
 //! The chaos/soak campaign: detection + degradation under escalating
-//! fault pressure, plus a seeded kill/resume drill.
+//! fault pressure.
 //!
 //! The fault campaign (`fault_campaign`) established the paper's §4
 //! *passive* claim: faults inside the way-placement trust boundary
@@ -19,20 +19,13 @@
 //!    (I-cache + recovery checks) stays within
 //!    [`CLEAN_OVERHEAD_LIMIT`] of the unarmed clean twin.
 //!
-//! A seeded kill/resume drill rides along: a checkpointed campaign is
-//! killed at a pseudorandomly chosen job, its checkpoint's final JSONL
-//! line is torn mid-write, and the resumed run must still produce a
-//! report byte-identical to an uninterrupted one.
-//!
 //! [`build_chaos_baseline`] renders the whole campaign as a
 //! byte-deterministic manifest whose `runs` rows are joinable by
 //! `wp_tune::TraceSet`, so the blessed copy rides the same bless/gate
 //! workflow as the trace-report and tuned-areas baselines.
 
-use std::path::Path;
 use std::sync::Arc;
 
-use wp_core::wp_mem::rng::SplitMix64;
 use wp_core::wp_mem::{CacheGeometry, FaultConfig};
 use wp_core::wp_sim::DegradationPolicy;
 use wp_core::wp_workloads::{Benchmark, InputSet};
@@ -41,8 +34,13 @@ use wp_obs::account::Usage;
 use wp_obs::metrics::Counter;
 use wp_obs::Obs;
 
-use crate::engine::{Engine, Experiment};
+use crate::engine::Engine;
 use crate::Json;
+
+/// Schema tag of the campaign manifest. Mixed into the campaign
+/// node's task key, so a payload-shape change (a bumped tag) can never
+/// be served a stale stored manifest.
+pub const CHAOS_SCHEMA: &str = "wp-bench/chaos-campaign-v2";
 
 /// The escalating hardware fault ladder, in faults per million
 /// fetches. Rate 0 is the armed-but-clean rung that prices the
@@ -164,9 +162,8 @@ impl ChaosTrial {
     }
 }
 
-/// The finished campaign: every trial, the violation lists the binary
-/// and [`build_chaos_baseline`] fail on, and the kill/resume drill's
-/// verdict.
+/// The finished campaign: every trial and the violation lists the
+/// binary and [`build_chaos_baseline`] fail on.
 #[derive(Clone, Debug)]
 pub struct ChaosOutcome {
     /// Whether this was the quick (CI smoke) shape.
@@ -183,10 +180,6 @@ pub struct ChaosOutcome {
     pub overhead: Vec<String>,
     /// Infrastructure failures (workbench/clean-twin build errors).
     pub errors: Vec<String>,
-    /// The kill/resume drill's manifest fragment.
-    pub kill_resume: Json,
-    /// Whether the drill resumed to a byte-identical report.
-    pub kill_resume_ok: bool,
 }
 
 impl ChaosOutcome {
@@ -197,7 +190,6 @@ impl ChaosOutcome {
             || !self.undetected.is_empty()
             || !self.overhead.is_empty()
             || !self.errors.is_empty()
-            || !self.kill_resume_ok
     }
 
     /// Graceful / detected / silent trial counts.
@@ -228,7 +220,7 @@ impl ChaosOutcome {
         let (benchmarks, set) = chaos_benchmarks(self.quick);
         let policy = chaos_policy();
         Json::obj([
-            ("schema", Json::from("wp-bench/chaos-campaign-v1")),
+            ("schema", Json::from(CHAOS_SCHEMA)),
             ("kind", Json::from("chaos_campaign")),
             (
                 "provenance",
@@ -257,7 +249,6 @@ impl ChaosOutcome {
                 ]),
             ),
             ("runs", Json::arr(self.trials.iter().map(|(t, clean_pj)| t.json(*clean_pj)))),
-            ("kill_resume", self.kill_resume.clone()),
             (
                 "summary",
                 Json::obj([
@@ -268,7 +259,6 @@ impl ChaosOutcome {
                     ("undetected_energy_burners", Json::from(self.undetected.len())),
                     ("clean_overhead_violations", Json::from(self.overhead.len())),
                     ("infrastructure_errors", Json::from(self.errors.len())),
-                    ("kill_resume_ok", Json::from(self.kill_resume_ok)),
                     ("ok", Json::from(!self.failed())),
                 ]),
             ),
@@ -373,7 +363,6 @@ impl ChaosObs {
                 ("undetected", outcome.undetected.len().to_string()),
                 ("overhead", outcome.overhead.len().to_string()),
                 ("errors", outcome.errors.len().to_string()),
-                ("kill_resume_ok", outcome.kill_resume_ok.to_string()),
             ],
         );
     }
@@ -470,120 +459,11 @@ pub fn run_campaign_on(engine: &Engine, quick: bool) -> ChaosOutcome {
         })
         .collect();
 
-    // Unique per invocation, not just per process: tests run concurrent
-    // campaigns inside one binary.
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let invocation = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let scratch = std::env::temp_dir()
-        .join(format!("wp-chaos-{}-{invocation}", std::process::id()))
-        .join("kill_resume.jsonl");
-    let (kill_resume, kill_resume_ok) = match kill_resume_drill(0x50AC, &scratch) {
-        Ok(json) => (json, true),
-        Err(message) => (Json::obj([("error", Json::from(message.as_str()))]), false),
-    };
-    if let Some(dir) = scratch.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    let outcome = ChaosOutcome {
-        quick,
-        geometry,
-        trials,
-        silent,
-        undetected,
-        overhead,
-        errors,
-        kill_resume,
-        kill_resume_ok,
-    };
+    let outcome = ChaosOutcome { quick, geometry, trials, silent, undetected, overhead, errors };
     if let Some(chaos_obs) = &chaos_obs {
         chaos_obs.finish(&outcome);
     }
     outcome
-}
-
-/// The seeded kill/resume drill: run a checkpointed mini-campaign, kill
-/// it at a pseudorandomly chosen job, tear the checkpoint's final JSONL
-/// line mid-write, resume, and demand a report byte-identical to an
-/// uninterrupted run. Returns the deterministic manifest fragment.
-///
-/// # Errors
-///
-/// A description of the first step that broke the contract.
-pub fn kill_resume_drill(seed: u64, checkpoint: &Path) -> Result<Json, String> {
-    let mut rng = SplitMix64::new(seed);
-    let experiment = Experiment::new(
-        [Benchmark::Crc, Benchmark::Sha],
-        [CacheGeometry::xscale_icache()],
-        [Scheme::WayMemoization, Scheme::WayPlacement { area_bytes: 8 * 1024 }],
-    )
-    .with_input_set(InputSet::Small);
-    let jobs = experiment.job_count();
-    let _ = std::fs::remove_file(checkpoint);
-
-    // The uninterrupted reference. Fresh engines throughout: the drill
-    // measures resume behaviour, not the process-wide caches.
-    let reference = Engine::with_workers(2).run(&experiment);
-    if !reference.is_complete() {
-        return Err(format!("reference run failed: {:?}", reference.failures));
-    }
-
-    // Kill: fail one seeded job so the checkpoint holds the others.
-    let victim = rng.index(jobs);
-    let (vb, vs) = (
-        experiment.benchmarks[victim / experiment.schemes.len()],
-        experiment.schemes[victim % experiment.schemes.len()],
-    );
-    let killed = Engine::with_workers(2).with_fault(move |benchmark, _geometry, scheme| {
-        (benchmark == vb && scheme == vs).then(|| wp_core::CoreError::Io {
-            context: "chaos kill/resume drill".to_string(),
-            message: "injected mid-campaign kill".to_string(),
-        })
-    });
-    let partial = killed.run_checkpointed(&experiment, checkpoint);
-    if partial.failures.len() != 1 {
-        return Err(format!("kill should fail exactly one job: {:?}", partial.failures));
-    }
-
-    // Torn write: chop a seeded number of bytes off the final line, as
-    // a crash mid-`writeln` would.
-    let text = std::fs::read_to_string(checkpoint)
-        .map_err(|e| format!("checkpoint unreadable after kill: {e}"))?;
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.len() != jobs - 1 {
-        return Err(format!("expected {} checkpoint lines, found {}", jobs - 1, lines.len()));
-    }
-    let last = lines[lines.len() - 1];
-    let torn_bytes = 1 + rng.index(last.len());
-    let keep = text.len() - 1 - torn_bytes;
-    std::fs::write(checkpoint, &text.as_bytes()[..keep])
-        .map_err(|e| format!("torn rewrite failed: {e}"))?;
-
-    // Resume: the torn line is skipped (re-executed), the intact lines
-    // replay from disk, and the report must match the reference byte
-    // for byte.
-    let resumed = Engine::with_workers(2).run_checkpointed(&experiment, checkpoint);
-    if !resumed.is_complete() {
-        return Err(format!("resume failed: {:?}", resumed.failures));
-    }
-    let replayed = resumed.stats.checkpoint_hits;
-    if replayed != (jobs - 2) as u64 {
-        return Err(format!("expected {} replayed jobs, got {replayed}", jobs - 2));
-    }
-    if checkpoint.exists() {
-        return Err("checkpoint not removed after a complete resume".to_string());
-    }
-    if resumed.results_json().to_pretty() != reference.results_json().to_pretty() {
-        return Err("resumed report diverged from the uninterrupted reference".to_string());
-    }
-
-    Ok(Json::obj([
-        ("jobs", Json::from(jobs)),
-        ("killed_job", Json::from(format!("{}/{}", vb.name(), vs.label()))),
-        ("torn_bytes", Json::from(torn_bytes)),
-        ("replayed_jobs", Json::from(replayed)),
-        ("byte_identical", Json::from(true)),
-    ]))
 }
 
 /// Runs the campaign and renders the blessed manifest, refusing —
@@ -615,9 +495,6 @@ pub fn build_chaos_baseline_with_key(
         reasons.extend(outcome.undetected.iter().cloned());
         reasons.extend(outcome.overhead.iter().cloned());
         reasons.extend(outcome.errors.iter().cloned());
-        if !outcome.kill_resume_ok {
-            reasons.push(format!("kill/resume drill failed: {}", outcome.kill_resume.to_compact()));
-        }
         return Err(format!("chaos campaign invariants violated: {}", reasons.join("; ")));
     }
     Ok(outcome.manifest_with_key(task_key))

@@ -175,30 +175,6 @@ pub fn manifest_path(fig: &str) -> PathBuf {
     wp_core::env::bench_dir().join(format!("BENCH_{fig}.json"))
 }
 
-/// Where a figure's JSONL checkpoint lives (next to its manifest):
-/// `BENCH_<fig>.checkpoint.jsonl` under `$WP_BENCH_DIR` or the working
-/// directory. Present only while a [`run_suite_checkpointed`] run is
-/// incomplete; removed once every job has succeeded.
-#[must_use]
-pub fn checkpoint_path(fig: &str) -> PathBuf {
-    wp_core::env::bench_dir().join(format!("BENCH_{fig}.checkpoint.jsonl"))
-}
-
-/// [`run_suite`] with checkpoint/resume: completed rows stream to
-/// [`checkpoint_path`]`(fig)` as they finish, and a rerun after an
-/// interrupted or partially-failed campaign replays them from disk,
-/// executing only the remainder (see [`Engine::run_checkpointed`]).
-#[must_use]
-pub fn run_suite_checkpointed(
-    fig: &str,
-    benchmarks: &[Benchmark],
-    icache: CacheGeometry,
-    schemes: &[Scheme],
-) -> SuiteReport {
-    Engine::global()
-        .run_checkpointed(&Experiment::new(benchmarks, [icache], schemes), &checkpoint_path(fig))
-}
-
 /// Writes a pretty-printed manifest to [`manifest_path`] and returns
 /// the path.
 ///

@@ -1,15 +1,22 @@
 //! End-to-end tests for the campaign DAG: cold-run byte identity with
-//! the standalone builders, warm-rerun purity (zero misses, identical
-//! bytes), single-benchmark invalidation recomputing only its
-//! dependency cone, and the store-backed gate resolving every fresh
-//! manifest as a hit against a warm store.
+//! the standalone builders and with a direct engine run, warm-rerun
+//! purity (zero misses, identical bytes), single-benchmark
+//! invalidation recomputing only its dependency cone, a killed
+//! campaign resuming through the store, and the store-backed gate
+//! resolving every fresh manifest as a hit against a warm store.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use wp_bench::baseline::gate_via_store;
-use wp_bench::campaign::{fig1_data, fig1_manifest, keys, run, CampaignConfig, Group, InputTags};
-use wp_campaign::Store;
-use wp_core::wp_workloads::Benchmark;
+use wp_bench::campaign::{
+    fig1_data, fig1_manifest, fig_experiment, keys, plan, run, CampaignConfig, Group, InputTags,
+};
+use wp_bench::{Engine, Json};
+use wp_campaign::{NullMonitor, Store};
+use wp_core::wp_mem::CacheGeometry;
+use wp_core::wp_workloads::{Benchmark, InputSet};
+use wp_core::{CoreError, Scheme};
 use wp_obs::Obs;
 use wp_tune::DiffThresholds;
 
@@ -100,6 +107,87 @@ fn warm_rerun_is_pure_hits_and_tag_flip_recomputes_only_the_cone() {
     assert_ne!(run1.manifest(Group::Fig4), run3.manifest(Group::Fig4));
 
     let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// The campaign measures each figure job in its own node, one lane per
+/// execution, while the figure binaries run the whole suite through
+/// [`Engine::run`]'s shared lanes; both must render the same `suite`.
+#[test]
+fn campaign_figure_suites_equal_a_direct_engine_run() {
+    let store = Store::new(scratch("suites"));
+    let config = CampaignConfig::new(true, vec![Group::Fig4, Group::Fig5]);
+    let campaign = run(&config, &store, None);
+    assert!(campaign.report.ok(), "campaign failed: {:?}", campaign.report.failures());
+
+    let engine = Engine::with_workers(2);
+    for group in [Group::Fig4, Group::Fig5] {
+        let direct = engine.run(&fig_experiment(group, true).expect("suite group"));
+        assert!(direct.is_complete(), "{group:?} failures: {:?}", direct.failures);
+        let bytes = campaign.manifest(group).expect("payload");
+        let manifest = Json::parse(std::str::from_utf8(bytes).expect("utf8")).expect("json");
+        let suite = manifest.get("suite").expect("suite section");
+        assert_eq!(
+            suite.to_pretty(),
+            direct.results_json().to_pretty(),
+            "{group:?} campaign suite diverges from a direct engine run"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// A killed campaign resumes through the store. The kill fails one
+/// fig4 measure job, so its node and the fig4 root publish nothing
+/// while the three survivors do; one survivor's entry is then torn
+/// mid-payload. A rerun on a clean engine recomputes exactly the
+/// victim, the torn node and the root, serves the other two survivors
+/// from the store, and renders the uninterrupted run's bytes.
+#[test]
+fn killed_campaign_resumes_through_the_store() {
+    let store = Store::new(scratch("killed"));
+    let config = CampaignConfig::new(true, vec![Group::Fig4]);
+    let victim = (Benchmark::Sha, Scheme::WayPlacement { area_bytes: 32 * 1024 });
+
+    let killed = Arc::new(Engine::new().with_fault(move |benchmark, _geometry, scheme| {
+        ((benchmark, scheme) == victim).then(|| CoreError::Io {
+            context: "campaign kill".to_string(),
+            message: "injected mid-campaign kill".to_string(),
+        })
+    }));
+    let killed_plan = plan(&config, &killed);
+    let partial = killed_plan.dag.run(&store, &killed_plan.roots(), config.workers, &NullMonitor);
+    assert_eq!(partial.failed(), 1, "exactly the victim fails: {:?}", partial.failures());
+    assert_eq!(partial.skipped(), 1, "the fig4 root waits on the victim");
+
+    // Tear the tail off a survivor's entry, as a crash mid-write would.
+    let survivor = keys::measure(
+        Benchmark::Crc,
+        CacheGeometry::xscale_icache(),
+        Scheme::WayMemoization,
+        InputSet::Small,
+        &InputTags::default(),
+    )
+    .hex();
+    let entry = store.root().join("objects").join(&survivor[..2]).join(&survivor);
+    let bytes = std::fs::read(&entry).expect("survivor published");
+    std::fs::write(&entry, &bytes[..bytes.len() - 7]).expect("tear entry");
+
+    let resumed = run(&config, &store, None);
+    assert!(resumed.report.ok(), "resume failed: {:?}", resumed.report.failures());
+    assert_eq!(resumed.report.misses(), 3, "victim, torn survivor and fig4 root recompute");
+    assert_eq!(resumed.report.hits(), 2, "the two intact survivors come from the store");
+
+    let fresh = Store::new(scratch("killed-reference"));
+    let reference = run(&config, &fresh, None);
+    assert!(reference.report.ok(), "reference failed: {:?}", reference.report.failures());
+    assert_eq!(
+        resumed.manifest(Group::Fig4),
+        reference.manifest(Group::Fig4),
+        "a resumed campaign must render the uninterrupted manifest byte for byte"
+    );
+
+    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(fresh.root());
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Engine resilience integration tests: panic isolation, bounded
-//! retry of transient failures, watchdog timeouts, and
-//! checkpoint/resume.
+//! retry of transient failures and watchdog timeouts. Resuming an
+//! interrupted run is the campaign store's job (`tests/campaign.rs`).
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
@@ -13,12 +12,6 @@ use wp_core::wp_workloads::{Benchmark, InputSet};
 use wp_core::{CoreError, Scheme};
 
 const AREA: u32 = 8 * 1024;
-
-fn scratch_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wp-resilience-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
-}
 
 fn experiment(benchmarks: impl Into<Vec<Benchmark>>) -> Experiment {
     Experiment::new(
@@ -133,121 +126,4 @@ fn watchdog_timeout_is_typed_transient_and_retried() {
     assert_eq!(failure.attempts, 2, "retried once, then gave up");
     assert_eq!(report.stats.retries, 1, "{:?}", report.stats);
     assert!(report.stats.timeouts >= 2, "{:?}", report.stats);
-}
-
-/// Checkpoint/resume round trip: a partially-failed run leaves its
-/// completed rows in the checkpoint; resuming replays them from disk
-/// (zero re-execution), runs only the missing job, produces
-/// byte-identical results to an uninterrupted run, and removes the
-/// checkpoint once complete.
-#[test]
-fn checkpoint_resume_replays_completed_jobs_from_disk() {
-    let path = scratch_path("resume.jsonl");
-    let _ = std::fs::remove_file(&path);
-    let experiment = experiment([Benchmark::Crc, Benchmark::Sha]);
-
-    // First run: the last job (Sha / way-placement) fails.
-    let broken = Engine::with_workers(2).with_fault(|benchmark, _geometry, scheme| {
-        (benchmark == Benchmark::Sha && !matches!(scheme, Scheme::WayMemoization))
-            .then_some(CoreError::ChecksumMismatch { benchmark, expected: 0xa, actual: 0xb })
-    });
-    let first = broken.run_checkpointed(&experiment, &path);
-    assert_eq!(first.rows.len(), 3);
-    assert_eq!(first.failures.len(), 1);
-    let saved = std::fs::read_to_string(&path).expect("checkpoint persists after failure");
-    assert_eq!(saved.lines().count(), 3, "one JSONL line per completed row:\n{saved}");
-
-    // Resume on a fresh engine with the fault gone: the three
-    // completed jobs replay from the checkpoint, only Sha/WP executes.
-    let healthy = Engine::with_workers(2);
-    let second = healthy.run_checkpointed(&experiment, &path);
-    assert!(second.is_complete(), "failures: {:?}", second.failures);
-    assert_eq!(second.stats.checkpoint_hits, 3, "{:?}", second.stats);
-    assert_eq!(second.stats.jobs_ok, 1, "only the failed job re-ran");
-    // Crc was never rebuilt: all its jobs came from the checkpoint.
-    assert_eq!(second.stats.workbench_builds, 1, "{:?}", second.stats);
-    assert!(!path.exists(), "checkpoint removed after a fully-complete run");
-
-    // The resumed report is byte-identical to an uninterrupted run.
-    let reference = Engine::with_workers(2).run(&experiment);
-    assert_eq!(
-        second.results_json().to_pretty(),
-        reference.results_json().to_pretty(),
-        "resumed rows must match a clean run exactly"
-    );
-}
-
-/// Torn-write recovery: a run killed mid-campaign leaves a checkpoint
-/// whose final JSONL record is then truncated mid-line (as a crash
-/// inside `writeln!` would). Resuming must skip the torn record,
-/// replay the intact ones, re-execute the rest, and produce a report
-/// byte-identical to an uninterrupted run.
-#[test]
-fn torn_checkpoint_write_resumes_byte_identical() {
-    let path = scratch_path("torn.jsonl");
-    let _ = std::fs::remove_file(&path);
-    let experiment = experiment([Benchmark::Crc, Benchmark::Sha]);
-    let reference = Engine::with_workers(2).run(&experiment);
-    assert!(reference.is_complete(), "failures: {:?}", reference.failures);
-
-    // Kill the last job; the checkpoint holds the other three rows.
-    let killed = Engine::with_workers(2).with_fault(|benchmark, _geometry, scheme| {
-        (benchmark == Benchmark::Sha && !matches!(scheme, Scheme::WayMemoization)).then(|| {
-            CoreError::Io {
-                context: "injected kill".to_string(),
-                message: "simulated crash".to_string(),
-            }
-        })
-    });
-    let partial = killed.run_checkpointed(&experiment, &path);
-    assert_eq!(partial.failures.len(), 1);
-
-    // Tear the final record: drop the trailing newline plus the last
-    // few bytes of the line, leaving unparseable JSON.
-    let text = std::fs::read_to_string(&path).expect("checkpoint after kill");
-    assert_eq!(text.lines().count(), 3);
-    std::fs::write(&path, &text.as_bytes()[..text.len() - 5]).expect("torn rewrite");
-
-    let resumed = Engine::with_workers(2).run_checkpointed(&experiment, &path);
-    assert!(resumed.is_complete(), "failures: {:?}", resumed.failures);
-    assert_eq!(resumed.stats.checkpoint_hits, 2, "two intact lines replay; the torn one reruns");
-    assert!(!path.exists(), "checkpoint removed after the complete resume");
-    assert_eq!(
-        resumed.results_json().to_pretty(),
-        reference.results_json().to_pretty(),
-        "a torn-checkpoint resume must reproduce the uninterrupted report byte for byte"
-    );
-
-    // The seeded drill the chaos campaign ships wraps exactly this
-    // round trip; it must agree.
-    let drill_path = scratch_path("drill.jsonl");
-    let fragment = wp_bench::chaos::kill_resume_drill(0xD1BB, &drill_path).expect("drill");
-    assert_eq!(
-        fragment.get("byte_identical").and_then(wp_bench::Json::as_bool),
-        Some(true),
-        "{}",
-        fragment.to_compact()
-    );
-}
-
-/// Corrupt checkpoint lines (torn writes, wrong schema) are skipped:
-/// the run executes everything fresh and still completes.
-#[test]
-fn corrupt_checkpoint_lines_are_tolerated() {
-    let path = scratch_path("corrupt.jsonl");
-    std::fs::write(
-        &path,
-        "{\"key\":\"crc|truncated...\n\
-         not json at all\n\
-         {\"valid\":\"json\",\"but\":\"wrong schema\"}\n",
-    )
-    .expect("seed corrupt checkpoint");
-
-    let engine = Engine::with_workers(2);
-    let experiment = experiment([Benchmark::Crc]);
-    let report = engine.run_checkpointed(&experiment, &path);
-    assert!(report.is_complete(), "failures: {:?}", report.failures);
-    assert_eq!(report.stats.checkpoint_hits, 0, "no corrupt line may replay as a row");
-    assert_eq!(report.stats.jobs_ok, 2);
-    assert!(!path.exists(), "checkpoint removed after the complete run");
 }

@@ -35,7 +35,7 @@ pub enum CoreError {
         /// The panic payload, best-effort stringified.
         message: String,
     },
-    /// A host-side I/O failure (checkpoint files, manifests) — the one
+    /// A host-side I/O failure (manifests, store entries) — the one
     /// error family that is genuinely transient and worth retrying.
     Io {
         /// What was being attempted.

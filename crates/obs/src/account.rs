@@ -43,8 +43,8 @@ pub struct Key {
     /// Fetch-scheme label (or a campaign-specific key like
     /// `way-memoization@1000ppm`).
     pub scheme: String,
-    /// Pipeline phase: `workbench`, `baseline`, `measure`,
-    /// `checkpoint`, `chaos`, ...
+    /// Pipeline phase: `workbench`, `baseline`, `measure`, `chaos`,
+    /// ...
     pub phase: String,
 }
 

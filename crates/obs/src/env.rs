@@ -13,7 +13,7 @@
 //! |-----------------|------------------|---------|
 //! | `WP_TRACE`      | [`trace_enabled`] | arm the wp-trace telemetry layer (span collector, fetch sinks) |
 //! | `WP_OBS`        | [`obs_enabled`]   | arm the wp-obs metrics registry + event journal in the engine |
-//! | `WP_BENCH_DIR`  | [`bench_dir`]     | directory for `BENCH_*.json` manifests and checkpoints (default: cwd) |
+//! | `WP_BENCH_DIR`  | [`bench_dir`]     | directory for `BENCH_*.json` manifests (default: cwd) |
 //! | `WP_QUICK`      | [`quick`]         | shrink long differential/soak sweeps to a quick subset |
 //! | `WP_PRINT_GOLDEN` | [`print_golden`] | print refreshed golden vectors instead of asserting them |
 //! | `WP_STORE_DIR`  | [`store_dir`]     | root of the wp-campaign content-addressed task store (unset: no store) |
@@ -62,8 +62,8 @@ pub fn print_golden() -> bool {
     flag("WP_PRINT_GOLDEN")
 }
 
-/// `$WP_BENCH_DIR`: where `BENCH_*.json` manifests and engine
-/// checkpoints land. Defaults to the current directory.
+/// `$WP_BENCH_DIR`: where `BENCH_*.json` manifests land. Defaults to
+/// the current directory.
 #[must_use]
 pub fn bench_dir() -> PathBuf {
     warn_unknown();

@@ -58,7 +58,7 @@ impl Json {
     }
 
     /// Parses JSON text into a [`Json`] tree (the inverse of the
-    /// emitter — used to resume checkpoints and re-read manifests).
+    /// emitter — used to re-read manifests and stored campaign payloads).
     /// Unsigned integer literals parse as [`Json::Uint`] so `u64`
     /// counters (cycles, instructions) round-trip exactly; everything
     /// else numeric parses as [`Json::Num`].

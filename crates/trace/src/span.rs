@@ -1,5 +1,5 @@
 //! Engine-level spans: wall-clock phase timings and instant events
-//! (retries, watchdog timeouts, fault injections, checkpoint hits)
+//! (retries, watchdog timeouts, fault injections, panics)
 //! from the experiment harness, collected thread-safely.
 //!
 //! Span timestamps are host wall-clock microseconds relative to the

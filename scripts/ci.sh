@@ -54,7 +54,7 @@ if [[ "$quick" -eq 1 ]]; then
     WP_BENCH_DIR="$smoke_perf_dir" cargo run --release -q --bin perf_fetch -- --quick
     rm -rf "$smoke_perf_dir"
 
-    echo "== chaos-campaign smoke (detection, degradation, kill/resume) =="
+    echo "== chaos-campaign smoke (detection, degradation) =="
     smoke_chaos_dir="$(mktemp -d)"
     WP_BENCH_DIR="$smoke_chaos_dir" cargo run --release -q --bin chaos_campaign -- --quick
     if [[ ! -s "$smoke_chaos_dir/BENCH_chaos_campaign.json" ]]; then
@@ -100,6 +100,12 @@ if [[ "$quick" -eq 1 ]]; then
         echo "gate on a perturbed baseline: expected exit 1, got $gate_code" >&2
         exit 1
     fi
+
+    echo "== a killed campaign resumes through the store =="
+    cargo test -q -p wp-bench --test campaign killed_campaign_resumes_through_the_store
+
+    echo "== campaign figure suites equal a direct engine run =="
+    cargo test -q -p wp-bench --test campaign campaign_figure_suites_equal_a_direct_engine_run
 
     echo "== campaign DAG smoke (cold run, then warm zero-miss rerun) =="
     camp_store="$(mktemp -d)"
@@ -231,9 +237,6 @@ if [[ "$quick" -eq 0 ]]; then
     echo "== tuned-areas validation (fig5 --areas vs committed baseline) =="
     WP_BENCH_DIR="$smoke_dir" cargo run --release -q --bin fig5 -- \
         --areas baselines/BENCH_tuned_areas.json >/dev/null
-
-    echo "== checkpoint/resume round trip =="
-    cargo test -q -p wp-bench --test resilience checkpoint
 fi
 
 echo "== CI gate passed =="
