@@ -36,7 +36,6 @@ use wp_workloads::{Benchmark, InputSet};
 
 use crate::autotune::tune_suite;
 use crate::engine::Engine;
-use crate::perf;
 use crate::{Json, FIGURE5_AREAS};
 
 /// Schema tag the blessed trace-report baseline carries.
@@ -54,11 +53,6 @@ pub const BASELINE_FILES: [&str; 5] = [
     "BENCH_obs_report.json",
     "BENCH_layout_compare.json",
 ];
-/// The wall-clock fetch-core throughput manifest blessed *alongside*
-/// the canonical pair. Deliberately not in [`BASELINE_FILES`]:
-/// throughput is measured, not derived, so byte-identity cannot apply;
-/// the gate diffs it under [`perf_thresholds`] instead.
-pub const PERF_BASELINE_FILE: &str = "BENCH_perf_fetch.json";
 /// Hottest chains recorded per traced run (mirrors `trace_report`).
 pub const TOP_K: usize = 5;
 /// Relative tolerance when reconciling per-chain picojoule sums.
@@ -282,29 +276,17 @@ pub fn build_tuned_baseline(quick: bool) -> Result<Json, TuneError> {
     Ok(manifest)
 }
 
-/// Gates for the throughput manifest: deliberately generous, because
-/// the Mfetch/s columns are wall-clock (they shift with the host),
-/// while the speedup-vs-reference column (the energy metric slot) is
-/// same-machine/same-process and only large, real fetch-core
-/// slowdowns move it past a 75% relative shift.
-#[must_use]
-pub fn perf_thresholds() -> DiffThresholds {
-    DiffThresholds { rel: 0.75, abs_fetches: 5.0, abs_energy: 1.0 }
-}
-
-/// Runs all six pipelines and writes their manifests into `dir`
-/// (created if missing), returning the written paths: the
-/// byte-deterministic [`BASELINE_FILES`] in order, then
-/// [`PERF_BASELINE_FILE`].
+/// Runs the five baseline pipelines and writes [`BASELINE_FILES`] into
+/// `dir` (created if missing), returning the written paths in that
+/// order.
 ///
 /// # Errors
 ///
 /// [`TuneError::Io`] on write failure, plus any pipeline failure —
-/// including the perf tripwire, which refuses to bless a throughput
-/// number from fetch cores that disagree, the chaos campaign, which
-/// refuses to bless a tree whose resilience invariants fail, and the
-/// obs_report pipeline, which refuses to bless a tree whose metrics do
-/// not reconcile with ground truth.
+/// including the chaos campaign, which refuses to bless a tree whose
+/// resilience invariants fail, and the obs_report pipeline, which
+/// refuses to bless a tree whose metrics do not reconcile with ground
+/// truth.
 pub fn bless(dir: &Path, quick: bool) -> Result<Vec<PathBuf>, TuneError> {
     let trace = build_trace_baseline(quick)?;
     let tuned = build_tuned_baseline(quick)?;
@@ -313,13 +295,10 @@ pub fn bless(dir: &Path, quick: bool) -> Result<Vec<PathBuf>, TuneError> {
     let obs = crate::obs::build_obs_baseline(quick)
         .map_err(|message| pipeline_error("obs_report", &message))?;
     let layout = crate::layout_compare::build_layout_baseline(quick)?;
-    let perf = perf::measure(quick)
-        .map_err(|message| pipeline_error("perf_fetch", &message))?
-        .json();
     std::fs::create_dir_all(dir).map_err(|e| TuneError::io(dir, &e))?;
-    let mut paths = Vec::with_capacity(BASELINE_FILES.len() + 1);
-    let names = BASELINE_FILES.iter().copied().chain([PERF_BASELINE_FILE]);
-    for (name, manifest) in names.zip([&trace, &tuned, &chaos, &obs, &layout, &perf]) {
+    let mut paths = Vec::with_capacity(BASELINE_FILES.len());
+    let manifests = [&trace, &tuned, &chaos, &obs, &layout];
+    for (name, manifest) in BASELINE_FILES.into_iter().zip(manifests) {
         let path = dir.join(name);
         std::fs::write(&path, manifest.to_pretty()).map_err(|e| TuneError::io(&path, &e))?;
         paths.push(path);
@@ -335,8 +314,7 @@ pub struct GateReport {
     pub blessed_dir: PathBuf,
     /// The scratch directory the fresh manifests were written to.
     pub fresh_dir: PathBuf,
-    /// Per-manifest comparisons: [`BASELINE_FILES`] in order, then
-    /// [`PERF_BASELINE_FILE`] under [`perf_thresholds`].
+    /// Per-manifest comparisons, [`BASELINE_FILES`] in order.
     pub diffs: Vec<(String, TraceDiff)>,
 }
 
@@ -381,9 +359,10 @@ impl GateReport {
     }
 }
 
-/// Re-runs both pipelines into `fresh_dir` and diffs every blessed
-/// manifest in `blessed_dir` against its fresh counterpart. The caller
-/// owns both directories (and the decision to delete the scratch one).
+/// Re-runs every baseline pipeline into `fresh_dir` (through [`bless`])
+/// and diffs every blessed manifest in `blessed_dir` against its fresh
+/// counterpart. The caller owns both directories (and the decision to
+/// delete the scratch one).
 ///
 /// # Errors
 ///
@@ -398,26 +377,11 @@ pub fn gate(
     thresholds: DiffThresholds,
 ) -> Result<GateReport, TuneError> {
     bless(fresh_dir, quick)?;
-    let mut diffs = Vec::with_capacity(BASELINE_FILES.len() + 1);
-    let gates = BASELINE_FILES
-        .iter()
-        .copied()
-        .map(|name| (name, thresholds))
-        .chain([(PERF_BASELINE_FILE, perf_thresholds())]);
-    for (name, gates) in gates {
-        let blessed = TraceSet::load(&blessed_dir.join(name))?;
-        let fresh = TraceSet::load(&fresh_dir.join(name))?;
-        diffs.push((name.to_string(), TraceDiff::compute(&blessed, &fresh, gates)));
-    }
-    Ok(GateReport {
-        blessed_dir: blessed_dir.to_path_buf(),
-        fresh_dir: fresh_dir.to_path_buf(),
-        diffs,
-    })
+    diff_baselines(blessed_dir, fresh_dir, thresholds, |name| TraceSet::load(&fresh_dir.join(name)))
 }
 
 /// [`gate`] with the fresh side produced through the campaign store
-/// instead of a temp-dir re-simulation: the six baseline pipelines run
+/// instead of a temp-dir re-simulation: the five baseline pipelines run
 /// as a content-addressed DAG rooted at `store`, so a warm store (e.g.
 /// right after a clean bless through the campaign) serves every
 /// manifest as a pure hit and the gate costs seconds, while a cold
@@ -452,27 +416,40 @@ pub fn gate_via_store(
         });
     }
 
-    let mut diffs = Vec::with_capacity(BASELINE_FILES.len() + 1);
-    let gates = [Group::Trace, Group::Tune, Group::Chaos, Group::Obs, Group::LayoutCompare]
-        .into_iter()
-        .map(|group| (group, thresholds))
-        .chain([(Group::Perf, perf_thresholds())]);
-    for (group, gates) in gates {
-        let name = format!("BENCH_{}.json", group.manifest_name());
-        let blessed = TraceSet::load(&blessed_dir.join(&name))?;
-        let bytes = run.manifest(group).ok_or_else(|| TuneError::Measure {
-            message: format!("campaign produced no payload for {name}"),
-        })?;
-        let text = String::from_utf8(bytes.to_vec()).map_err(|e| TuneError::Measure {
+    diff_baselines(blessed_dir, store.root(), thresholds, |name| {
+        let stem = name.trim_start_matches("BENCH_").trim_end_matches(".json");
+        let (_, bytes) = run
+            .manifests()
+            .iter()
+            .find(|(group, _)| group.manifest_name() == stem)
+            .ok_or_else(|| TuneError::Measure {
+                message: format!("campaign produced no payload for {name}"),
+            })?;
+        let text = std::str::from_utf8(bytes).map_err(|e| TuneError::Measure {
             message: format!("{name}: stored payload is not UTF-8: {e}"),
         })?;
-        let stem = name.trim_start_matches("BENCH_").trim_end_matches(".json").to_string();
-        let fresh = TraceSet::parse(&text, &format!("store:{name}"), &stem)?;
-        diffs.push((name, TraceDiff::compute(&blessed, &fresh, gates)));
+        TraceSet::parse(text, &format!("store:{name}"), stem)
+    })
+}
+
+/// The one diff loop behind [`gate`] and [`gate_via_store`], which
+/// differ only in where the fresh manifests come from: each of
+/// [`BASELINE_FILES`] in `blessed_dir` against the copy `fresh` loads
+/// for that file name. `fresh_dir` names the fresh side in the report.
+fn diff_baselines(
+    blessed_dir: &Path,
+    fresh_dir: &Path,
+    thresholds: DiffThresholds,
+    mut fresh: impl FnMut(&str) -> Result<TraceSet, TuneError>,
+) -> Result<GateReport, TuneError> {
+    let mut diffs = Vec::with_capacity(BASELINE_FILES.len());
+    for name in BASELINE_FILES {
+        let blessed = TraceSet::load(&blessed_dir.join(name))?;
+        diffs.push((name.to_string(), TraceDiff::compute(&blessed, &fresh(name)?, thresholds)));
     }
     Ok(GateReport {
         blessed_dir: blessed_dir.to_path_buf(),
-        fresh_dir: store.root().to_path_buf(),
+        fresh_dir: fresh_dir.to_path_buf(),
         diffs,
     })
 }

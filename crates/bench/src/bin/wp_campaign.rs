@@ -1,11 +1,10 @@
 //! `wp-campaign` — every experiment as one resumable DAG.
 //!
-//! Plans the figure suites, the trace/tune/chaos/obs baseline
-//! pipelines and the perf measurement as a single content-addressed
-//! graph, serves already-computed nodes from the store under
-//! `--store`/`$WP_STORE_DIR`, executes the rest on a worker pool, and
-//! writes the same `BENCH_*.json` manifests the standalone binaries
-//! write — byte-identically.
+//! Plans the figure suites and the trace/tune/chaos/obs/layout
+//! baseline pipelines as a single content-addressed graph, serves
+//! already-computed nodes from the store under `--store`/`$WP_STORE_DIR`,
+//! executes the rest on a worker pool, and writes the same `BENCH_*.json`
+//! manifests the standalone binaries write — byte-identically.
 //!
 //! Usage:
 //!
@@ -17,7 +16,7 @@
 //! ```
 //!
 //! `--only` takes a family (`fig`, `gate`) or a manifest name
-//! (`fig4`, `tune`, `chaos`, `obs`, `perf`, …) and may repeat;
+//! (`fig4`, `tune`, `chaos`, `obs`, `layout`, …) and may repeat;
 //! `run --all` (the default) runs everything. `--input-tag crc=v2`
 //! re-tags one benchmark's input set, invalidating exactly its
 //! dependent subgraph. `gc` prunes the store to the `N` most recently

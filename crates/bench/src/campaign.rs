@@ -340,18 +340,6 @@ pub mod keys {
         TaskKey::derive(&obs_parts(quick, tags), &[])
     }
 
-    pub(crate) fn perf_parts(quick: bool) -> Vec<String> {
-        vec!["perf".to_string(), CAMPAIGN_EPOCH.to_string(), quick.to_string()]
-    }
-
-    /// The fetch-core throughput manifest. Wall-clock by nature: a
-    /// store hit replays the *recorded* numbers, which is exactly what
-    /// byte-identical repeat runs require.
-    #[must_use]
-    pub fn perf(quick: bool) -> TaskKey {
-        TaskKey::derive(&perf_parts(quick), &[])
-    }
-
     pub(crate) fn layout_run_parts(
         benchmark: Benchmark,
         geometry: CacheGeometry,
@@ -428,13 +416,11 @@ pub enum Group {
     Obs,
     /// The layout-compare competition pipeline.
     LayoutCompare,
-    /// The fetch-core throughput pipeline.
-    Perf,
 }
 
 impl Group {
     /// Every group, in planning order.
-    pub const ALL: [Group; 11] = [
+    pub const ALL: [Group; 10] = [
         Group::Fig1,
         Group::Table1,
         Group::Fig4,
@@ -445,15 +431,14 @@ impl Group {
         Group::Chaos,
         Group::Obs,
         Group::LayoutCompare,
-        Group::Perf,
     ];
     /// The figure/table groups (`run --only fig`).
     pub const FIGURES: [Group; 5] =
         [Group::Fig1, Group::Table1, Group::Fig4, Group::Fig5, Group::Fig6];
-    /// The six blessed-baseline groups, in [`baseline::BASELINE_FILES`]
-    /// + perf order — what the store-backed gate runs.
-    pub const BASELINE: [Group; 6] =
-        [Group::Trace, Group::Tune, Group::Chaos, Group::Obs, Group::LayoutCompare, Group::Perf];
+    /// The five blessed-baseline groups, in [`baseline::BASELINE_FILES`]
+    /// order — what the store-backed gate runs.
+    pub const BASELINE: [Group; 5] =
+        [Group::Trace, Group::Tune, Group::Chaos, Group::Obs, Group::LayoutCompare];
 
     /// The `BENCH_<name>.json` stem this group's manifest is written
     /// to — identical to the standalone binary's output path.
@@ -470,7 +455,6 @@ impl Group {
             Group::Chaos => "chaos_campaign",
             Group::Obs => "obs_report",
             Group::LayoutCompare => "layout_compare",
-            Group::Perf => "perf_fetch",
         }
     }
 
@@ -493,7 +477,6 @@ impl Group {
             "chaos" | "chaos_campaign" => Some(vec![Group::Chaos]),
             "obs" | "obs_report" => Some(vec![Group::Obs]),
             "layout" | "layout_compare" => Some(vec![Group::LayoutCompare]),
-            "perf" | "perf_fetch" => Some(vec![Group::Perf]),
             _ => None,
         }
     }
@@ -961,23 +944,6 @@ pub fn plan(config: &CampaignConfig, engine: &Arc<Engine>) -> Plan {
                     },
                 )
             }
-            Group::Perf => {
-                let id = add_node(
-                    &mut dag,
-                    "perf_fetch".to_string(),
-                    &keys::perf_parts(quick),
-                    &[],
-                    move |_| {
-                        crate::perf::measure(quick)
-                            .map(|report| report.json().to_pretty().into_bytes())
-                    },
-                );
-                // Wall-clock measurement: concurrent DAG nodes would
-                // skew the speedup ratios, so this node runs with the
-                // machine to itself.
-                dag.mark_exclusive(id);
-                id
-            }
         };
         manifest_nodes.push((group, id));
     }
@@ -1182,7 +1148,6 @@ mod tests {
                 Group::Chaos => keys::chaos(quick, &config.tags),
                 Group::Obs => keys::obs(quick, &config.tags),
                 Group::LayoutCompare => keys::layout_manifest(quick, &config.tags),
-                Group::Perf => keys::perf(quick),
             };
             assert_eq!(
                 plan.dag.key(id),
@@ -1222,7 +1187,6 @@ mod tests {
 
         // …while the input-independent nodes stand still.
         assert_eq!(keys::fig1(), keys::fig1());
-        assert_eq!(keys::perf(true), keys::perf(true));
     }
 
     /// The shared measure space: fig4's two xscale schemes are a
@@ -1248,8 +1212,8 @@ mod tests {
             assert_eq!(Group::parse(group.manifest_name()), Some(vec![group]));
         }
         assert_eq!(Group::parse("fig").map(|g| g.len()), Some(5));
-        assert_eq!(Group::parse("gate").map(|g| g.len()), Some(6));
-        assert_eq!(Group::parse("all").map(|g| g.len()), Some(11));
+        assert_eq!(Group::parse("gate").map(|g| g.len()), Some(5));
+        assert_eq!(Group::parse("all").map(|g| g.len()), Some(10));
         assert_eq!(Group::parse("nope"), None);
     }
 }

@@ -466,9 +466,8 @@ pub fn run_campaign_on(engine: &Engine, quick: bool) -> ChaosOutcome {
     outcome
 }
 
-/// Runs the campaign and renders the blessed manifest, refusing —
-/// like the perf tripwire — to bless a tree whose resilience
-/// invariants do not hold.
+/// Runs the campaign and renders the blessed manifest, refusing to
+/// bless a tree whose resilience invariants do not hold.
 ///
 /// # Errors
 ///

@@ -29,7 +29,6 @@ pub mod chaos;
 pub mod engine;
 pub mod layout_compare;
 pub mod obs;
-pub mod perf;
 pub mod timing;
 
 /// The serde-free JSON module now lives in `wp-trace` (telemetry needs

@@ -440,8 +440,8 @@ fn reconcile(
 }
 
 /// Runs the pipeline and renders the blessed manifest, refusing — like
-/// the chaos and perf tripwires — to bless a tree whose observability
-/// layer does not reconcile.
+/// the chaos campaign — to bless a tree whose observability layer does
+/// not reconcile.
 ///
 /// # Errors
 ///

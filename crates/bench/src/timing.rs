@@ -8,9 +8,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Runs `f` for `warmup` unrecorded iterations, then `iters` timed
-/// ones, returning the per-iteration samples sorted ascending (ns).
-fn timed_samples<R>(warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> Vec<f64> {
+/// Times `f` over `iters` iterations (after `warmup` unrecorded runs)
+/// and prints one aligned result line. Returns the median ns/iter.
+pub fn bench_loop<R>(label: &str, warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> f64 {
     for _ in 0..warmup {
         black_box(f());
     }
@@ -22,29 +22,10 @@ fn timed_samples<R>(warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> Vec<f6
         })
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));
-    samples
-}
-
-/// Times `f` over `iters` iterations (after `warmup` unrecorded runs)
-/// and prints one aligned result line. Returns the median ns/iter.
-pub fn bench_loop<R>(label: &str, warmup: u32, iters: u32, f: impl FnMut() -> R) -> f64 {
-    let samples = timed_samples(warmup, iters, f);
     let median = samples[samples.len() / 2];
     let min = samples[0];
     println!("{label:<40} {min:>12.0} ns/iter (min) {median:>12.0} ns/iter (median)");
     median
-}
-
-/// [`bench_loop`], but returns the **minimum** ns/iter — the statistic
-/// `perf_fetch` gates on: for a short deterministic kernel the minimum
-/// is the run least disturbed by the host, so it is the least noisy
-/// estimate of the kernel's true cost.
-pub fn bench_min<R>(label: &str, warmup: u32, iters: u32, f: impl FnMut() -> R) -> f64 {
-    let samples = timed_samples(warmup, iters, f);
-    let median = samples[samples.len() / 2];
-    let min = samples[0];
-    println!("{label:<40} {min:>12.0} ns/iter (min) {median:>12.0} ns/iter (median)");
-    min
 }
 
 /// [`bench_loop`] with a throughput column: `elements` processed per

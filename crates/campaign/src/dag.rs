@@ -44,7 +44,6 @@ struct Node {
     label: String,
     parts: Vec<String>,
     deps: Vec<TaskId>,
-    exclusive: bool,
     run: RunFn,
 }
 
@@ -218,23 +217,11 @@ impl Dag {
             label: label.into(),
             parts: parts.iter().map(|&p| p.to_string()).collect(),
             deps: deps.to_vec(),
-            exclusive: false,
             run: Box::new(run),
         });
         self.keys.push(key);
         self.by_key.insert(key, id);
         id
-    }
-
-    /// Marks a node **exclusive**: when it executes, the scheduler
-    /// drains every in-flight node first and runs it alone — no other
-    /// node starts until it finishes. Exclusivity is a scheduling
-    /// property, not identity: the key is unchanged, so a cached
-    /// payload still hits. Use it for nodes whose payload depends on
-    /// sole ownership of the machine (wall-clock performance
-    /// measurement); everything else should stay concurrent.
-    pub fn mark_exclusive(&mut self, id: TaskId) {
-        self.nodes[id].exclusive = true;
     }
 
     /// Number of nodes.
@@ -375,7 +362,6 @@ impl Dag {
             );
             let remaining = AtomicUsize::new(run_ids.len());
             let idle = (Mutex::new(()), Condvar::new());
-            let gate = ExclusionGate::default();
 
             let pop = |worker: usize| -> Option<TaskId> {
                 if let Some(id) = lock(&queues[worker]).pop_back() {
@@ -418,7 +404,6 @@ impl Dag {
                     let remaining = &remaining;
                     let idle = &idle;
                     let put_errors = &put_errors;
-                    let gate = &gate;
                     scope.spawn(move || loop {
                         if remaining.load(Ordering::Acquire) == 0 {
                             break;
@@ -443,12 +428,9 @@ impl Dag {
                             continue;
                         }
                         let ctx = TaskCtx { payloads, deps: &self.nodes[id].deps };
-                        let exclusive = self.nodes[id].exclusive;
-                        gate.enter(exclusive);
                         let started = Instant::now();
                         let outcome = (self.nodes[id].run)(&ctx);
                         let wall = started.elapsed();
-                        gate.exit(exclusive);
                         let ok = outcome.is_ok();
                         monitor.node_done(&self.nodes[id].label, &self.keys[id], wall, ok);
                         match outcome {
@@ -502,60 +484,6 @@ impl Dag {
 /// panicking mid-queue-access must not wedge the whole campaign.
 fn lock<'a, T>(mutex: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Poison-tolerant condvar wait.
-fn wait<'a, T>(cv: &Condvar, guard: std::sync::MutexGuard<'a, T>) -> std::sync::MutexGuard<'a, T> {
-    cv.wait(guard).unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The scheduler's exclusivity latch. Shared (normal) nodes enter
-/// concurrently; an exclusive node first claims the gate — blocking
-/// new shared entries — then waits for the in-flight ones to drain,
-/// so it runs with the machine to itself.
-#[derive(Default)]
-struct ExclusionGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    running: usize,
-    exclusive: bool,
-}
-
-impl ExclusionGate {
-    fn enter(&self, exclusive: bool) {
-        let mut state = lock(&self.state);
-        if exclusive {
-            while state.exclusive {
-                state = wait(&self.cv, state);
-            }
-            // Claim first so no new shared node starts while this one
-            // waits for the in-flight ones to drain (no starvation).
-            state.exclusive = true;
-            while state.running > 0 {
-                state = wait(&self.cv, state);
-            }
-        } else {
-            while state.exclusive {
-                state = wait(&self.cv, state);
-            }
-            state.running += 1;
-        }
-    }
-
-    fn exit(&self, exclusive: bool) {
-        let mut state = lock(&self.state);
-        if exclusive {
-            state.exclusive = false;
-        } else {
-            state.running -= 1;
-        }
-        drop(state);
-        self.cv.notify_all();
-    }
 }
 
 #[cfg(test)]
@@ -671,47 +599,6 @@ mod tests {
         let report = dag.run(&store, &[c], 1, &NullMonitor);
         assert_eq!(report.nodes[1].outcome, Outcome::Pruned, "b is not under the root");
         assert_eq!(report.nodes[2].outcome, Outcome::Computed);
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn exclusive_node_never_overlaps_other_nodes() {
-        let store = temp_store("exclusive");
-        let mut dag = Dag::new();
-        let active = Arc::new(AtomicUsize::new(0));
-        let overlap_seen = Arc::new(AtomicBool::new(false));
-        for i in 0..12 {
-            let tag = format!("shared-{i}");
-            let active = Arc::clone(&active);
-            dag.add(tag.clone(), &["excl", &tag], &[], move |_| {
-                active.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(3));
-                active.fetch_sub(1, Ordering::SeqCst);
-                Ok(Vec::new())
-            });
-        }
-        let active_x = Arc::clone(&active);
-        let overlap = Arc::clone(&overlap_seen);
-        let exclusive = dag.add("exclusive", &["excl", "alone"], &[], move |_| {
-            active_x.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(3));
-            if active_x.load(Ordering::SeqCst) != 1 {
-                overlap.store(true, Ordering::SeqCst);
-            }
-            active_x.fetch_sub(1, Ordering::SeqCst);
-            Ok(Vec::new())
-        });
-        dag.mark_exclusive(exclusive);
-        // The key ignores the mark: exclusivity is scheduling only.
-        assert_eq!(dag.key(exclusive), TaskKey::derive(&["excl", "alone"], &[]));
-
-        let report = dag.run(&store, &[], 6, &NullMonitor);
-        assert!(report.ok());
-        assert_eq!(report.misses(), 13);
-        assert!(
-            !overlap_seen.load(Ordering::SeqCst),
-            "the exclusive node observed a concurrent node"
-        );
         let _ = std::fs::remove_dir_all(store.root());
     }
 

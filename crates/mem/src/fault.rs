@@ -182,38 +182,6 @@ impl FaultInjector {
         self.rng.below(u64::from(bound.max(1))) as u32
     }
 
-    /// Evaluates the firing decisions for `fetches` whole fetches in
-    /// bulk — the batched half of `MemorySystem::fetch_block`. When no
-    /// opportunity fires, the PRNG stream and opportunity counter end
-    /// up exactly where `fetches` sequential per-fetch evaluations
-    /// would leave them, and the call returns `true`. When any
-    /// opportunity *would* fire, the PRNG is rewound to its state
-    /// before the call and `false` is returned: the caller replays the
-    /// same fetches one at a time, and the per-fetch path re-draws the
-    /// identical stream, landing the fault on exactly the fetch it
-    /// would have hit unbatched.
-    pub fn try_clean_run(&mut self, fetches: u64) -> bool {
-        if self.config.rate_ppm == 0 {
-            return true;
-        }
-        let kinds = FaultKind::ALL.iter().filter(|&&k| self.config.enables(k)).count() as u64;
-        if kinds == 0 {
-            return true;
-        }
-        // Only the number of draws matters for stream position, not
-        // which kind each draw belongs to.
-        let snapshot = self.rng;
-        let draws = kinds * fetches;
-        for _ in 0..draws {
-            if self.rng.below(1_000_000) < u64::from(self.config.rate_ppm) {
-                self.rng = snapshot;
-                return false;
-            }
-        }
-        self.stats.opportunities += draws;
-        true
-    }
-
     /// Records an injected stale-WP-bit fault.
     pub fn note_wp_bit_flip(&mut self) {
         self.stats.wp_bit_flips += 1;
@@ -287,45 +255,5 @@ mod tests {
         assert_eq!(FaultKind::StaleWpBit.label(), "stale-wp-bit");
         assert_eq!(FaultKind::HintInversion.label(), "hint-inversion");
         assert_eq!(FaultKind::TagBitFlip.label(), "tag-bit-flip");
-    }
-
-    #[test]
-    fn try_clean_run_matches_sequential_draws() {
-        // A committed clean run must leave the injector exactly where
-        // per-fetch evaluation of the same fetches would.
-        let config = FaultConfig::all(0xC1EA, 40_000);
-        let mut bulk = FaultInjector::new(config);
-        let mut seq = FaultInjector::new(config);
-        let mut fetches_until_fire = 0u64;
-        'outer: loop {
-            fetches_until_fire += 1;
-            for kind in FaultKind::ALL {
-                if seq.fires(kind) {
-                    break 'outer;
-                }
-            }
-        }
-        // The clean prefix commits…
-        assert!(bulk.try_clean_run(fetches_until_fire - 1));
-        assert_eq!(bulk.stats().opportunities, 3 * (fetches_until_fire - 1));
-        // …and the firing fetch is refused and rewound: replaying it
-        // per-fetch fires exactly as the sequential injector did.
-        assert!(!bulk.try_clean_run(1));
-        let fired = FaultKind::ALL.iter().any(|&k| bulk.fires(k) || !bulk.config.enables(k));
-        assert!(fired, "rewound stream must fire on replay");
-    }
-
-    #[test]
-    fn try_clean_run_is_free_when_disarmed() {
-        let mut inj = FaultInjector::new(FaultConfig::all(5, 0));
-        assert!(inj.try_clean_run(1_000_000));
-        assert_eq!(inj.stats().opportunities, 0);
-        let mut none = FaultConfig::all(5, 500_000);
-        none.stale_wp_bits = false;
-        none.hint_inversions = false;
-        none.tag_bit_flips = false;
-        let mut inj = FaultInjector::new(none);
-        assert!(inj.try_clean_run(1_000_000));
-        assert_eq!(inj.stats().opportunities, 0);
     }
 }

@@ -230,9 +230,8 @@ impl FetchSide {
 
     /// Folds an I-cache outcome and the parallel I-TLB outcome into one
     /// timing result — the single place the TLB-fill stall is charged,
-    /// shared by [`fetch`](FetchSide::fetch),
-    /// [`fetch_traced`](FetchSide::fetch_traced) and
-    /// [`fetch_block`](FetchSide::fetch_block) so the accounting
+    /// shared by [`fetch`](FetchSide::fetch) and
+    /// [`fetch_traced`](FetchSide::fetch_traced) so the accounting
     /// cannot drift between them.
     fn compose_timing(fetch: crate::FetchOutcome, tlb: crate::TlbOutcome) -> FetchTiming {
         FetchTiming { hit: fetch.hit, cycles: fetch.cycles + tlb.stall_cycles }
@@ -254,74 +253,6 @@ impl FetchSide {
         let tlb = self.pre_fetch(addr);
         let (fetch, event) = self.icache.fetch_traced(addr, tlb.wp);
         (FetchSide::compose_timing(fetch, tlb), event)
-    }
-
-    /// Fetches `words` consecutive instruction words starting at
-    /// `addr`, all within one cache line: exactly equivalent — counter
-    /// for counter, cycle for cycle — to `words` sequential calls to
-    /// [`fetch`](FetchSide::fetch), but the trailing same-line
-    /// elided fetches are accounted in bulk instead of one at a time.
-    ///
-    /// The returned timing sums the cycles of every fetch in the run;
-    /// `hit` is the conjunction of the per-fetch hits (in the batched
-    /// path only the leading fetch can miss).
-    ///
-    /// The bulk path requires same-line elision (after the leading
-    /// fetch establishes the line, the rest elide by construction) and
-    /// the run not to straddle a page. An armed fault injector no
-    /// longer forces per-fetch fallback: the leading fetch runs its
-    /// weave points normally, then
-    /// [`FaultInjector::try_clean_run`] evaluates the elided
-    /// remainder's firing decisions in bulk — only a run that *would*
-    /// fire is replayed fetch-by-fetch, so the fault lands exactly
-    /// where it would unbatched.
-    pub fn fetch_block(&mut self, addr: u32, words: u32) -> FetchTiming {
-        let line_mask = !(self.config.icache.geometry.line_bytes() - 1);
-        let last = addr + 4 * words.saturating_sub(1);
-        debug_assert!(words >= 1, "fetch_block needs at least one word");
-        debug_assert_eq!(addr & line_mask, last & line_mask, "run must stay within one line");
-        let page_mask = !(self.config.itlb.page_bytes - 1);
-        // The *live* icache config, not the preferred one: a degraded
-        // scheme (runtime `set_fetch_scheme`) may have elision off
-        // while `self.config` still records the configured scheme.
-        let batchable = words > 1
-            && self.icache.config().same_line_elision
-            && (addr & page_mask) == (last & page_mask);
-        if !batchable {
-            let mut timing = self.fetch(addr);
-            for i in 1..words {
-                let next = self.fetch(addr + 4 * i);
-                timing.cycles += next.cycles;
-                timing.hit = timing.hit && next.hit;
-            }
-            return timing;
-        }
-        let mut first = self.fetch(addr);
-        let rest = u64::from(words - 1);
-        if let Some(injector) = self.fault.as_mut() {
-            if !injector.try_clean_run(rest) {
-                // A weave point lands inside the run: replay the
-                // remainder per-fetch against the rewound PRNG.
-                for i in 1..words {
-                    let next = self.fetch(addr + 4 * i);
-                    first.cycles += next.cycles;
-                    first.hit = first.hit && next.hit;
-                }
-                return first;
-            }
-        }
-        // The leading fetch resolved (and if necessary filled) the TLB
-        // entry and established `last_line`; the remaining same-line,
-        // same-page fetches are elided hits of one cycle each.
-        self.itlb.note_repeat_hits(rest);
-        if self.config.detection {
-            // Per-fetch, each elided fetch would still scrub the WP
-            // bit; no fault fired in the run, so the checks are pure
-            // counts (they feed the energy pricing of detection).
-            self.detect.wp_bit_checks += rest;
-        }
-        self.icache.elide_run(last, rest);
-        FetchTiming { hit: first.hit, cycles: first.cycles + words - 1 }
     }
 
     /// Instruction-fetch counters.
@@ -474,9 +405,17 @@ impl MemorySystem {
         self.fetch.fetch_traced(addr)
     }
 
-    /// See [`FetchSide::fetch_block`].
+    /// Fetches `words` consecutive instruction words starting at
+    /// `addr`, one [`fetch`](MemorySystem::fetch) each. The timing sums
+    /// their cycles; `hit` is the conjunction of their hits.
     pub fn fetch_block(&mut self, addr: u32, words: u32) -> FetchTiming {
-        self.fetch.fetch_block(addr, words)
+        let mut timing = FetchTiming { hit: true, cycles: 0 };
+        for i in 0..words {
+            let next = self.fetch.fetch(addr + 4 * i);
+            timing.cycles += next.cycles;
+            timing.hit &= next.hit;
+        }
+        timing
     }
 
     /// A data load at `addr` during pipeline cycle `now`; returns stall
@@ -685,11 +624,10 @@ mod tests {
         }
     }
 
-    /// `fetch_block` is cycle- and counter-identical to the per-fetch
-    /// loop for every scheme, including the baseline fallback (no
-    /// elision) and armed fault injectors — batched clean runs and the
-    /// rewind-and-replay fallback must both reproduce the sequential
-    /// stream exactly, with and without detection armed.
+    /// `fetch_block` (the entry point the standalone benchmark replays
+    /// runs through) is cycle- and counter-identical to the per-fetch
+    /// loop for every scheme and for armed fault injectors, with and
+    /// without detection armed.
     #[test]
     fn fetch_block_matches_sequential_fetches() {
         let geom = CacheGeometry::new(2048, 4, 32);

@@ -150,7 +150,8 @@ pub struct InstructionCache {
     array: CamArray,
     stats: FetchStats,
     /// Line base of the previous fetch, for same-line elision. Cleared
-    /// whenever the line could have moved (any fill).
+    /// whenever the line could have moved: any fill, tag upset, scheme
+    /// switch or reset.
     last_line: Option<u32>,
     /// The global way-hint bit (§4.1): was the previous fetch a
     /// way-placement access?
@@ -342,8 +343,14 @@ impl InstructionCache {
             self.stats.hits += 1;
             self.stats.data_reads += 1;
             // The hint tracks the *previous access*; a same-line fetch
-            // keeps it unchanged (same page, same answer).
-            self.record_prev(addr);
+            // keeps it unchanged (same page, same answer). The line has
+            // not moved since the fetch that set `last_line` (fills, tag
+            // upsets and flushes all clear it), so way-memoization's
+            // anchor keeps its set and way and only the word advances.
+            if let Some(prev) = self.prev_fetch.as_mut() {
+                prev.addr = addr;
+                prev.slot = self.config.geometry.slot_of(addr);
+            }
             return FetchOutcome { hit: true, cycles: 1 + self.take_recovery_cycles() };
         }
 
@@ -403,23 +410,6 @@ impl InstructionCache {
         self.detect.lines_invalidated += 1;
         self.array.invalidate_slot(set, way);
         self.pending_recovery_cycles += 1;
-    }
-
-    /// Records `count` additional same-line elided fetches after a
-    /// fetch of an earlier word of the same line — the bulk half of
-    /// `MemorySystem::fetch_block`. `last_addr` is the final fetched
-    /// address; counter-for-counter this equals `count` sequential
-    /// calls to [`fetch`](InstructionCache::fetch) that all take the
-    /// elision path (intermediate `prev_fetch` values are overwritten
-    /// before anything can observe them).
-    pub(crate) fn elide_run(&mut self, last_addr: u32, count: u64) {
-        debug_assert!(self.config.same_line_elision);
-        debug_assert_eq!(self.last_line, Some(self.shifts.line_addr(last_addr)));
-        self.stats.fetches += count;
-        self.stats.same_line_elisions += count;
-        self.stats.hits += count;
-        self.stats.data_reads += count;
-        self.record_prev(last_addr);
     }
 
     /// [`fetch`](InstructionCache::fetch) plus a fully-classified

@@ -252,16 +252,6 @@ impl Tlb {
         self.write_wp_bits(entry, wp);
         Some((true, wp))
     }
-
-    /// Records `count` additional lookups that are guaranteed hits on
-    /// the page the immediately preceding lookup resolved (the batched
-    /// same-line path of `MemorySystem::fetch_block`). Pure counter
-    /// bulk-update: per-fetch lookups of a resident page have no other
-    /// side effects.
-    pub fn note_repeat_hits(&mut self, count: u64) {
-        debug_assert!(self.is_present(self.last_hit), "repeat hits need a resident page");
-        self.stats.lookups += count;
-    }
 }
 
 #[cfg(test)]
@@ -381,16 +371,5 @@ mod tests {
         assert!(!t.corrupt_wp_bit(0x8000));
         t.lookup(0x8000);
         assert!(t.corrupt_wp_bit(0x8000));
-    }
-
-    #[test]
-    fn note_repeat_hits_only_bumps_lookups() {
-        let mut t = tlb(0);
-        t.lookup(0x8000);
-        let misses = t.stats().misses;
-        t.note_repeat_hits(7);
-        assert_eq!(t.stats().lookups, 8);
-        assert_eq!(t.stats().misses, misses);
-        assert!(!t.lookup(0x8004).miss);
     }
 }

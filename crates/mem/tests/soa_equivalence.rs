@@ -9,8 +9,6 @@
 //! * **detection twin** — arming the detection checks on a fault-free
 //!   run must not change a single fetch counter or cycle (protection is
 //!   observation-only until something is actually wrong);
-//! * **batch twin** — `fetch_block` must equal the per-fetch loop,
-//!   including under an armed fault injector (the bulk PRNG path);
 //! * **golden fingerprints** — fixed seeded streams over the XScale
 //!   geometry must reproduce baked-in counter/energy fingerprints
 //!   bit-for-bit, pinning the core's behaviour against silent drift.

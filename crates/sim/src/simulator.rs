@@ -389,8 +389,8 @@ struct Clock {
     /// Scoreboard: the cycle at which each register's value is ready.
     ready: [u64; 16],
     /// Upper bound on every scoreboard entry, maintained where slow
-    /// results publish so the batch guard can prove "no stall possible
-    /// inside this run" without scanning `ready`.
+    /// results publish, so `retire` skips the scoreboard scan once the
+    /// clock has passed it.
     ready_bound: u64,
 }
 
@@ -484,17 +484,8 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
     let mut sample_period = sink.interval_cycles();
     let mut sample_start: u64 = 0;
     let mut sample_snapshot = FetchStats::new();
-    // Straight-line batching: a per-slot map of instructions whose step
-    // is `Control::Next` with unit issue, no data access and no slow
-    // result whichever way the condition resolves. Runs of those fetch
-    // through `FetchSide::fetch_block`, amortising the I-TLB lookup
-    // and same-line bookkeeping over the cache line, cycle-exactly.
-    // Tracing and interval sampling need per-fetch visibility, so
-    // batching only arms on the plain path of a lone lane.
-    let simple: Vec<bool> = text.iter().map(|&insn| straight_line_simple(insn)).collect();
+    // The registers each text slot reads, for the scoreboard.
     let sources: Vec<u16> = text.iter().map(|&insn| source_mask(insn)).collect();
-    let line_words = config.mem.icache.geometry.words_per_line();
-    let batching = !sink.enabled() && sample_period.is_none();
 
     loop {
         if instructions >= config.max_instructions {
@@ -513,51 +504,6 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
             return Err(SimError::FetchOutOfText { pc });
         }
         let insn = text[index as usize];
-
-        // Batched straight-line fetch. Safe exactly when no scoreboard
-        // stall can fire inside the run (`cycles >= ready_bound` and no
-        // batched instruction publishes a slow result), so the per-
-        // instruction loop would only have added fetch cycles plus the
-        // one issue cycle the fetch already accounts — which is what
-        // `fetch_block` charges. The run is clamped to the cache line,
-        // the text section, the instruction budget, the next watchdog
-        // sampling point and the next degradation window boundary, so
-        // every skipped per-fetch check is one that could not have
-        // fired.
-        if let [lane] = &mut *lanes {
-            if batching && lane.clock.cycles >= lane.clock.ready_bound && simple[index as usize] {
-                let line_left = line_words - (pc / Insn::SIZE) % line_words;
-                let window_left = lane.degrade.as_ref().map_or(u64::MAX, |ctrl| {
-                    ctrl.next_boundary().saturating_sub(lane.fetch.fetch_stats().fetches)
-                });
-                let limit = u64::from(line_left.min(text_len - index))
-                    .min(config.max_instructions - instructions)
-                    .min(0x4000 - (instructions & 0x3FFF))
-                    .min(window_left) as u32;
-                let mut run = 1u32;
-                while run < limit && simple[(index + run) as usize] {
-                    run += 1;
-                }
-                if run > 1 {
-                    let timing = lane.fetch.fetch_block(pc, run);
-                    lane.clock.cycles += u64::from(timing.cycles);
-                    degrade_window(&mut lane.degrade, &mut lane.fetch);
-                    for k in 0..run {
-                        let slot = (index + k) as usize;
-                        if let Some(counts) = insn_counts.as_mut() {
-                            counts[slot] += 1;
-                        }
-                        let outcome = step(&mut machine, text[slot], pc.wrapping_add(k * 4))?;
-                        debug_assert_eq!(outcome.control, Control::Next);
-                        debug_assert!(outcome.slow_dest.is_none() && outcome.mem_len == 0);
-                        debug_assert!(matches!(outcome.class, InsnClass::Alu | InsnClass::Nop));
-                        instructions += 1;
-                    }
-                    machine.pc = pc.wrapping_add(run * 4);
-                    continue;
-                }
-            }
-        }
 
         // Fetch: I-TLB + I-cache (stalls include miss fills and
         // way-hint penalties), on every lane.
@@ -779,20 +725,6 @@ fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-/// Whether `insn` is statically *straight-line simple*: whichever way
-/// its condition resolves, `step` yields [`Control::Next`], one issue
-/// cycle, no data accesses and no slow result. Runs of such
-/// instructions are eligible for the batched-fetch fast path.
-fn straight_line_simple(insn: Insn) -> bool {
-    use wp_isa::{Op, Operand, ShiftAmount};
-    match insn.op {
-        Op::Nop | Op::Mov16 { .. } => true,
-        Op::Alu { op2: Operand::Reg { amount: ShiftAmount::Reg(_), .. }, .. } => false,
-        Op::Alu { .. } => true,
-        _ => false,
-    }
 }
 
 /// The registers `insn` reads, as a bit set (bit `r` for register `r`).
@@ -1172,16 +1104,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_straight_line_runs_match_per_fetch_timing() {
+    fn traced_and_untraced_runs_agree_under_every_scheme_and_degradation() {
         // A long straight-line block (crossing I-cache lines) sits
-        // between a load-use producer and the loop branch, so the batch
-        // path must respect the scoreboard guard, the line clamp and
-        // elision accounting. The traced run disables batching, so
-        // equality proves the batch path is cycle-exact — not merely
-        // checksum-preserving — under every fetch scheme. The armed
-        // configuration adds faults and a degradation window that is
-        // not a multiple of the line, so window boundaries land inside
-        // straight-line runs and the batch must stop at each one.
+        // between a load-use producer and the loop branch. A sink is an
+        // observer, so the traced run must equal the untraced one field
+        // for field, cycles and counters included, under every fetch
+        // scheme. The armed configuration adds faults and a degradation
+        // window that is not a multiple of the line, so window
+        // boundaries land inside straight-line runs.
         let body: String =
             (0..20).map(|i| format!("                add r0, r0, #{}\n", i + 1)).collect();
         let src = format!(

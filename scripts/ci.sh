@@ -37,8 +37,8 @@ if [[ "$quick" -eq 1 ]]; then
     echo "== lock-step lane equivalence (quick sweep) =="
     WP_QUICK=1 cargo test -q -p wp-bench --test lane_equivalence
 
-    echo "== batched fetch stops at degradation window boundaries =="
-    cargo test -q -p wp-sim --lib batched_straight_line_runs_match_per_fetch_timing
+    echo "== traced and untraced runs agree under every scheme and degradation =="
+    cargo test -q -p wp-sim --lib traced_and_untraced_runs_agree_under_every_scheme_and_degradation
 
     echo "== layout competition smoke (six passes, both schemes) =="
     lc_dir="$(mktemp -d)"
@@ -48,11 +48,6 @@ if [[ "$quick" -eq 1 ]]; then
         exit 1
     fi
     rm -rf "$lc_dir"
-
-    echo "== fetch-core throughput smoke (tripwire + >=2x speedup) =="
-    smoke_perf_dir="$(mktemp -d)"
-    WP_BENCH_DIR="$smoke_perf_dir" cargo run --release -q --bin perf_fetch -- --quick
-    rm -rf "$smoke_perf_dir"
 
     echo "== chaos-campaign smoke (detection, degradation) =="
     smoke_chaos_dir="$(mktemp -d)"
@@ -210,13 +205,6 @@ if [[ "$quick" -eq 0 ]]; then
     WP_BENCH_DIR="$smoke_dir" cargo run --release -q --bin layout_compare
     if [[ ! -s "$smoke_dir/BENCH_layout_compare.json" ]]; then
         echo "missing manifest: BENCH_layout_compare.json" >&2
-        exit 1
-    fi
-
-    echo "== fetch-core throughput (tripwire + >=2x speedup gate) =="
-    WP_BENCH_DIR="$smoke_dir" cargo run --release -q --bin perf_fetch
-    if [[ ! -s "$smoke_dir/BENCH_perf_fetch.json" ]]; then
-        echo "missing manifest: BENCH_perf_fetch.json" >&2
         exit 1
     fi
 
