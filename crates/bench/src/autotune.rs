@@ -203,13 +203,7 @@ pub fn tuned_manifest_from(
         ("schema", Json::from(TUNED_SCHEMA)),
         ("tolerance", Json::from(tolerance)),
         ("geometry", Json::from(icache.to_string())),
-        (
-            "input_set",
-            Json::from(match set {
-                InputSet::Small => "small",
-                InputSet::Large => "large",
-            }),
-        ),
+        ("input_set", Json::from(set.name())),
         ("grid", Json::arr(grid.iter().map(|&a| Json::from(a)))),
         ("benchmarks", Json::Arr(rows)),
         ("provenance", Json::obj([("task_key", Json::from(task_key.hex().as_str()))])),

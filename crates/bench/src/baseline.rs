@@ -1,26 +1,26 @@
 //! Stored-baseline blessing and gating.
 //!
 //! The reproduction's central artefacts — the traced-run report, the
-//! autotuned WP-area manifest, the chaos-campaign resilience manifest
-//! and the obs-report reconciliation manifest — must stay stable as
-//! the simulator grows: silent drift in
-//! any scheme's counters invalidates every number the paper comparison
-//! rests on. This module freezes them:
+//! autotuned WP-area manifest, the chaos-campaign resilience manifest,
+//! the obs-report reconciliation manifest and the layout competition —
+//! must stay stable as the simulator grows: silent drift in any
+//! scheme's counters invalidates every number the paper comparison
+//! rests on. All five are simulation-derived and byte-deterministic,
+//! so this module freezes them exactly:
 //!
-//! * [`bless`] runs the trace-report and tuned-areas pipelines and
-//!   writes **canonical** manifests (deterministic: no wall-clock
-//!   fields, no environment-dependent paths, with a provenance header
-//!   recording grid/tolerance/input set) into a baselines directory
-//!   that is committed to the repository;
-//! * [`gate`] re-runs the same pipelines into a scratch directory and
-//!   drives [`wp_tune::diff`] against the blessed copies, flagging any
-//!   fetch/energy shift past the gates and any structural mismatch
-//!   (missing run, changed grid, renamed chain).
+//! * [`bless`] runs the campaign DAG's [`Group::BASELINE`] nodes and
+//!   writes their payloads into a baselines directory that is
+//!   committed to the repository;
+//! * [`gate`] runs the same DAG and compares every payload with its
+//!   blessed file byte for byte. On a mismatch it names every JSON
+//!   path whose value differs ([`PathDiff`]), with the blessed and the
+//!   fresh value; bytes that differ while every value agrees are
+//!   reported as formatting.
 //!
-//! The `bless` and `gate` binaries are thin wrappers; the library
-//! entry points keep the whole round trip testable in-process, where
-//! the engine's memoised workbenches make a quick bless/gate cycle
-//! cheap.
+//! The DAG is the only producer of these bytes, so a blessed file, a
+//! gate's fresh side and `wp-campaign run --only baseline` always
+//! agree. The `bless` and `gate` binaries are thin wrappers; the
+//! library entry points keep the whole round trip testable in-process.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -31,32 +31,29 @@ use wp_energy::CacheEnergyModel;
 use wp_mem::{CacheGeometry, FetchStats};
 use wp_obs::Obs;
 use wp_trace::{ChainAttribution, TraceRecorder};
-use wp_tune::{DiffThresholds, TraceDiff, TraceSet, TuneError, DEFAULT_TOLERANCE};
+use wp_tune::TuneError;
 use wp_workloads::{Benchmark, InputSet};
 
-use crate::autotune::tune_suite;
+use crate::campaign::{self, CampaignConfig, CampaignRun, Group};
 use crate::engine::Engine;
-use crate::{Json, FIGURE5_AREAS};
+use crate::Json;
 
 /// Schema tag the blessed trace-report baseline carries.
 pub const BASELINE_SCHEMA: &str = "baseline/v1";
 /// The default committed baselines directory, relative to the repo
 /// root (where CI runs).
 pub const DEFAULT_BASELINE_DIR: &str = "baselines";
-/// The **byte-deterministic** manifests a baseline set consists of, in
-/// bless/gate order. Two bless runs over the same tree produce these
-/// byte-identically.
-pub const BASELINE_FILES: [&str; 5] = [
-    "BENCH_trace_report.json",
-    "BENCH_tuned_areas.json",
-    "BENCH_chaos_campaign.json",
-    "BENCH_obs_report.json",
-    "BENCH_layout_compare.json",
-];
-/// Hottest chains recorded per traced run (mirrors `trace_report`).
+/// Hottest chains recorded per traced run (shared with `trace_report`).
 pub const TOP_K: usize = 5;
-/// Relative tolerance when reconciling per-chain picojoule sums.
-const ENERGY_REL_TOL: f64 = 1e-6;
+/// Relative tolerance when reconciling per-chain picojoule sums with
+/// the aggregate price (shared with `trace_report`).
+pub const ENERGY_REL_TOL: f64 = 1e-6;
+
+/// The file a baseline group's manifest is blessed to.
+#[must_use]
+pub fn baseline_file(group: Group) -> String {
+    format!("BENCH_{}.json", group.manifest_name())
+}
 
 /// The traced-run matrix of the trace-report pipeline: quick is the
 /// CI smoke shape (one benchmark, small inputs), full is the shape
@@ -121,24 +118,13 @@ pub fn hot_chains_json(
         .collect()
 }
 
-/// One canonical traced run: everything `trace_report` derives that is
+/// One canonical traced run on `engine` — the payload of a campaign
+/// trace-run node: everything `trace_report` derives that is
 /// deterministic (counters, energies, hot chains), nothing that is not
 /// (wall-clock spans, sink overhead, ring/interval bookkeeping).
 /// Reconciliation failures are hard errors — a baseline whose chain
 /// sums disagree with the hardware counters must never be blessed.
-fn canonical_run(
-    benchmark: Benchmark,
-    icache: CacheGeometry,
-    scheme: Scheme,
-    set: InputSet,
-) -> Result<Json, TuneError> {
-    canonical_run_on(Engine::global(), benchmark, icache, scheme, set)
-}
-
-/// [`canonical_run`] on an explicit engine, so a campaign trace-run
-/// node executes on the campaign's own pool (with its retry policy and
-/// armed [`wp_obs::Obs`]) instead of the process-global engine.
-pub(crate) fn canonical_run_on(
+pub(crate) fn canonical_run(
     engine: &Engine,
     benchmark: Benchmark,
     icache: CacheGeometry,
@@ -191,26 +177,17 @@ pub(crate) fn canonical_run_on(
     ]))
 }
 
-pub(crate) fn input_set_name(set: InputSet) -> &'static str {
-    match set {
-        InputSet::Small => "small",
-        InputSet::Large => "large",
-    }
-}
-
 /// The two way-aware schemes every trace-report run covers, in manifest
 /// order. Shared with the campaign planner so its per-run task keys
-/// describe exactly the runs [`build_trace_baseline`] performs.
+/// describe exactly the runs its trace-run nodes perform.
 #[must_use]
 pub fn trace_schemes() -> [Scheme; 2] {
     [Scheme::WayPlacement { area_bytes: 32 * 1024 }, Scheme::WayMemoization]
 }
 
 /// Assembles the trace-report baseline manifest from already-rendered
-/// canonical run objects. Split from [`build_trace_baseline`] so a
-/// campaign manifest node can build byte-identical output from stored
-/// run payloads without re-simulating; `task_key` lands in the
-/// provenance block (display-only — the diff gate never joins on it).
+/// canonical run objects (the campaign's trace-run payloads);
+/// `task_key` lands in the provenance block.
 #[must_use]
 pub fn trace_manifest_from_runs(quick: bool, runs: Vec<Json>, task_key: &TaskKey) -> Json {
     let icache = CacheGeometry::xscale_icache();
@@ -223,7 +200,7 @@ pub fn trace_manifest_from_runs(quick: bool, runs: Vec<Json>, task_key: &TaskKey
             "provenance",
             Json::obj([
                 ("quick", Json::from(quick)),
-                ("input_set", Json::from(input_set_name(set))),
+                ("input_set", Json::from(set.name())),
                 ("geometry", Json::from(icache.to_string())),
                 ("schemes", Json::arr(schemes.iter().map(|s| Json::from(s.label().as_str())))),
                 ("benchmarks", Json::arr(benchmarks.iter().map(|b| Json::from(b.name())))),
@@ -235,174 +212,28 @@ pub fn trace_manifest_from_runs(quick: bool, runs: Vec<Json>, task_key: &TaskKey
     ])
 }
 
-/// Builds the canonical trace-report baseline: both way-aware schemes
-/// over the trace-report benchmark matrix, counters and per-chain
-/// energies only. Byte-deterministic for a fixed `quick` flag.
-///
-/// # Errors
-///
-/// [`TuneError::Measure`] wrapping any pipeline failure or
-/// reconciliation mismatch.
-pub fn build_trace_baseline(quick: bool) -> Result<Json, TuneError> {
-    let icache = CacheGeometry::xscale_icache();
-    let (benchmarks, set) = trace_benchmarks(quick);
-    let schemes = trace_schemes();
-    let mut runs = Vec::with_capacity(benchmarks.len() * schemes.len());
-    for &benchmark in benchmarks {
-        for &scheme in &schemes {
-            runs.push(canonical_run(benchmark, icache, scheme, set)?);
-        }
-    }
-    let task_key =
-        crate::campaign::keys::trace_manifest(quick, &crate::campaign::InputTags::default());
-    Ok(trace_manifest_from_runs(quick, runs, &task_key))
+/// Runs `f` against a fresh store in a scratch directory that is
+/// removed afterwards, so nothing it computes can come from (or
+/// outlive) an earlier run. `tag` names the directory.
+pub fn with_scratch_store<T>(tag: &str, f: impl FnOnce(&Store) -> T) -> T {
+    let root = std::env::temp_dir().join(format!("wp-{tag}-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let result = f(&Store::new(&root));
+    let _ = std::fs::remove_dir_all(&root);
+    result
 }
 
-/// Builds the canonical tuned-areas baseline: [`tune_suite`] over the
-/// figure-5 grid — the whole 23-benchmark suite in full mode — with a
-/// `quick` provenance marker. The `tuned_areas/v1` schema already
-/// records grid, tolerance, geometry and input set, so the blessed
-/// copy stays directly consumable by `fig5 --areas`.
-///
-/// # Errors
-///
-/// Everything [`tune_suite`] raises.
-pub fn build_tuned_baseline(quick: bool) -> Result<Json, TuneError> {
-    let (benchmarks, set) = tuned_benchmarks(quick);
-    let icache = CacheGeometry::xscale_icache();
-    let (_, mut manifest) =
-        tune_suite(&benchmarks, icache, &FIGURE5_AREAS, DEFAULT_TOLERANCE, set)?;
-    manifest.push("quick", Json::from(quick));
-    Ok(manifest)
-}
-
-/// Runs the five baseline pipelines and writes [`BASELINE_FILES`] into
-/// `dir` (created if missing), returning the written paths in that
-/// order.
-///
-/// # Errors
-///
-/// [`TuneError::Io`] on write failure, plus any pipeline failure —
-/// including the chaos campaign, which refuses to bless a tree whose
-/// resilience invariants fail, and the obs_report pipeline, which
-/// refuses to bless a tree whose metrics do not reconcile with ground
-/// truth.
-pub fn bless(dir: &Path, quick: bool) -> Result<Vec<PathBuf>, TuneError> {
-    let trace = build_trace_baseline(quick)?;
-    let tuned = build_tuned_baseline(quick)?;
-    let chaos = crate::chaos::build_chaos_baseline(quick)
-        .map_err(|message| pipeline_error("chaos_campaign", &message))?;
-    let obs = crate::obs::build_obs_baseline(quick)
-        .map_err(|message| pipeline_error("obs_report", &message))?;
-    let layout = crate::layout_compare::build_layout_baseline(quick)?;
-    std::fs::create_dir_all(dir).map_err(|e| TuneError::io(dir, &e))?;
-    let mut paths = Vec::with_capacity(BASELINE_FILES.len());
-    let manifests = [&trace, &tuned, &chaos, &obs, &layout];
-    for (name, manifest) in BASELINE_FILES.into_iter().zip(manifests) {
-        let path = dir.join(name);
-        std::fs::write(&path, manifest.to_pretty()).map_err(|e| TuneError::io(&path, &e))?;
-        paths.push(path);
-    }
-    Ok(paths)
-}
-
-/// The outcome of gating a fresh re-run against a blessed baseline
-/// set: one [`TraceDiff`] per baseline manifest.
-#[derive(Clone, Debug)]
-pub struct GateReport {
-    /// The blessed (baseline) directory.
-    pub blessed_dir: PathBuf,
-    /// The scratch directory the fresh manifests were written to.
-    pub fresh_dir: PathBuf,
-    /// Per-manifest comparisons, [`BASELINE_FILES`] in order.
-    pub diffs: Vec<(String, TraceDiff)>,
-}
-
-impl GateReport {
-    /// Total regression flags across every manifest.
-    #[must_use]
-    pub fn regressions(&self) -> usize {
-        self.diffs.iter().map(|(_, diff)| diff.regressions()).sum()
-    }
-
-    /// `true` when nothing flagged.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.regressions() == 0
-    }
-
-    /// The process exit code CI gates on: 0 clean, 1 regression.
-    #[must_use]
-    pub fn exit_code(&self) -> i32 {
-        i32::from(!self.is_clean())
-    }
-
-    /// Renders the `BENCH_gate.json` manifest body.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::from("gate/v1")),
-            ("blessed_dir", Json::from(self.blessed_dir.display().to_string().as_str())),
-            (
-                "manifests",
-                Json::arr(self.diffs.iter().map(|(name, diff)| {
-                    Json::obj([
-                        ("file", Json::from(name.as_str())),
-                        ("regressions", Json::from(diff.regressions())),
-                        ("diff", diff.json()),
-                    ])
-                })),
-            ),
-            ("regressions", Json::from(self.regressions())),
-            ("ok", Json::from(self.is_clean())),
-        ])
-    }
-}
-
-/// Re-runs every baseline pipeline into `fresh_dir` (through [`bless`])
-/// and diffs every blessed manifest in `blessed_dir` against its fresh
-/// counterpart. The caller owns both directories (and the decision to
-/// delete the scratch one).
-///
-/// # Errors
-///
-/// [`TuneError::Io`] / [`TuneError::Json`] / [`TuneError::Malformed`]
-/// when a blessed manifest is missing or unreadable, plus any pipeline
-/// failure during the re-run. Regressions are *not* errors — they are
-/// reported through [`GateReport::regressions`].
-pub fn gate(
-    blessed_dir: &Path,
-    fresh_dir: &Path,
-    quick: bool,
-    thresholds: DiffThresholds,
-) -> Result<GateReport, TuneError> {
-    bless(fresh_dir, quick)?;
-    diff_baselines(blessed_dir, fresh_dir, thresholds, |name| TraceSet::load(&fresh_dir.join(name)))
-}
-
-/// [`gate`] with the fresh side produced through the campaign store
-/// instead of a temp-dir re-simulation: the five baseline pipelines run
-/// as a content-addressed DAG rooted at `store`, so a warm store (e.g.
-/// right after a clean bless through the campaign) serves every
-/// manifest as a pure hit and the gate costs seconds, while a cold
-/// store computes exactly what [`gate`] would have. The diffed bytes
-/// are identical either way.
-///
-/// # Errors
-///
-/// Blessed-manifest load failures, plus any pipeline failure inside the
-/// campaign run (reported with the failing node labels). Regressions
-/// are *not* errors.
-pub fn gate_via_store(
-    blessed_dir: &Path,
+/// Runs the [`Group::BASELINE`] campaign against `store`, failing
+/// with every failed node's label and error if any pipeline failed —
+/// including the chaos campaign, which refuses to produce a manifest
+/// when its resilience invariants fail, and the obs pipeline, which
+/// refuses when its metrics do not reconcile with ground truth.
+fn run_baselines(
     store: &Store,
     quick: bool,
-    thresholds: DiffThresholds,
     obs: Option<&Arc<Obs>>,
-) -> Result<GateReport, TuneError> {
-    use crate::campaign::{self, Group};
-
-    let config = campaign::CampaignConfig::new(quick, Group::BASELINE.to_vec());
+) -> Result<CampaignRun, TuneError> {
+    let config = CampaignConfig::new(quick, Group::BASELINE.to_vec());
     let run = campaign::run(&config, store, obs);
     if !run.report.ok() {
         let failures: Vec<String> = run
@@ -415,41 +246,320 @@ pub fn gate_via_store(
             message: format!("campaign pipelines failed: {}", failures.join("; ")),
         });
     }
+    Ok(run)
+}
 
-    diff_baselines(blessed_dir, store.root(), thresholds, |name| {
-        let stem = name.trim_start_matches("BENCH_").trim_end_matches(".json");
-        let (_, bytes) = run
-            .manifests()
-            .iter()
-            .find(|(group, _)| group.manifest_name() == stem)
-            .ok_or_else(|| TuneError::Measure {
-                message: format!("campaign produced no payload for {name}"),
-            })?;
-        let text = std::str::from_utf8(bytes).map_err(|e| TuneError::Measure {
-            message: format!("{name}: stored payload is not UTF-8: {e}"),
-        })?;
-        TraceSet::parse(text, &format!("store:{name}"), stem)
+fn payload(run: &CampaignRun, group: Group) -> Result<&[u8], TuneError> {
+    run.manifest(group).ok_or_else(|| TuneError::Measure {
+        message: format!("campaign produced no payload for {}", baseline_file(group)),
     })
 }
 
-/// The one diff loop behind [`gate`] and [`gate_via_store`], which
-/// differ only in where the fresh manifests come from: each of
-/// [`BASELINE_FILES`] in `blessed_dir` against the copy `fresh` loads
-/// for that file name. `fresh_dir` names the fresh side in the report.
-fn diff_baselines(
-    blessed_dir: &Path,
-    fresh_dir: &Path,
-    thresholds: DiffThresholds,
-    mut fresh: impl FnMut(&str) -> Result<TraceSet, TuneError>,
-) -> Result<GateReport, TuneError> {
-    let mut diffs = Vec::with_capacity(BASELINE_FILES.len());
-    for name in BASELINE_FILES {
-        let blessed = TraceSet::load(&blessed_dir.join(name))?;
-        diffs.push((name.to_string(), TraceDiff::compute(&blessed, &fresh(name)?, thresholds)));
+/// Runs the five baseline pipelines through the campaign DAG on
+/// `store` and writes each payload to its [`baseline_file`] in `dir`
+/// (created if missing), returning the written paths in
+/// [`Group::BASELINE`] order.
+///
+/// # Errors
+///
+/// [`TuneError::Io`] on write failure, [`TuneError::Measure`] naming
+/// every failed pipeline node.
+pub fn bless(dir: &Path, store: &Store, quick: bool) -> Result<Vec<PathBuf>, TuneError> {
+    let run = run_baselines(store, quick, None)?;
+    std::fs::create_dir_all(dir).map_err(|e| TuneError::io(dir, &e))?;
+    let mut paths = Vec::with_capacity(Group::BASELINE.len());
+    for group in Group::BASELINE {
+        let path = dir.join(baseline_file(group));
+        std::fs::write(&path, payload(&run, group)?).map_err(|e| TuneError::io(&path, &e))?;
+        paths.push(path);
     }
-    Ok(GateReport {
-        blessed_dir: blessed_dir.to_path_buf(),
-        fresh_dir: fresh_dir.to_path_buf(),
-        diffs,
-    })
+    Ok(paths)
+}
+
+/// One JSON path whose value differs between a blessed manifest and
+/// its fresh twin. A side is `None` where the path does not exist
+/// (a key or array element only the other side has).
+#[derive(Clone, PartialEq, Debug)]
+pub struct PathDiff {
+    /// The path: object keys joined by `.`, array indices as `[i]`,
+    /// e.g. `runs[0].cycles`.
+    pub path: String,
+    /// The blessed value.
+    pub blessed: Option<Json>,
+    /// The fresh value.
+    pub fresh: Option<Json>,
+}
+
+impl PathDiff {
+    fn json(&self) -> Json {
+        let mut json = Json::obj([("path", Json::from(self.path.as_str()))]);
+        for (side, value) in [("blessed", &self.blessed), ("fresh", &self.fresh)] {
+            if let Some(value) = value {
+                json.push(side, value.clone());
+            }
+        }
+        json
+    }
+}
+
+impl std::fmt::Display for PathDiff {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let show =
+            |value: &Option<Json>| value.as_ref().map_or("(absent)".into(), Json::to_compact);
+        write!(f, "{}: blessed {}, fresh {}", self.path, show(&self.blessed), show(&self.fresh))
+    }
+}
+
+/// Every JSON path at which `blessed` and `fresh` hold different
+/// values, in document order (blessed keys first, then keys only
+/// `fresh` has). Objects match by key, arrays by index; an element or
+/// key only one side has is reported once at its own path. Values of
+/// different types differ at the path where they meet. An empty result
+/// means the two documents are equal as JSON values.
+fn json_diff(blessed: &Json, fresh: &Json) -> Vec<PathDiff> {
+    let mut diffs = Vec::new();
+    diff_at(String::new(), blessed, fresh, &mut diffs);
+    diffs
+}
+
+fn diff_at(path: String, blessed: &Json, fresh: &Json, diffs: &mut Vec<PathDiff>) {
+    let key_path =
+        |key: &str| if path.is_empty() { key.to_string() } else { format!("{path}.{key}") };
+    let one_sided = |path, blessed: Option<&Json>, fresh: Option<&Json>| PathDiff {
+        path,
+        blessed: blessed.cloned(),
+        fresh: fresh.cloned(),
+    };
+    match (blessed, fresh) {
+        (Json::Obj(left), Json::Obj(right)) => {
+            for (key, value) in left {
+                match right.iter().find(|(k, _)| k == key) {
+                    Some((_, other)) => diff_at(key_path(key), value, other, diffs),
+                    None => diffs.push(one_sided(key_path(key), Some(value), None)),
+                }
+            }
+            for (key, value) in right {
+                if !left.iter().any(|(k, _)| k == key) {
+                    diffs.push(one_sided(key_path(key), None, Some(value)));
+                }
+            }
+        }
+        (Json::Arr(left), Json::Arr(right)) => {
+            for i in 0..left.len().max(right.len()) {
+                let at = format!("{path}[{i}]");
+                match (left.get(i), right.get(i)) {
+                    (Some(value), Some(other)) => diff_at(at, value, other, diffs),
+                    (value, other) => diffs.push(one_sided(at, value, other)),
+                }
+            }
+        }
+        _ if blessed == fresh => {}
+        _ => diffs.push(one_sided(path, Some(blessed), Some(fresh))),
+    }
+}
+
+/// How one fresh manifest compares with its blessed file.
+#[derive(Clone, PartialEq, Debug)]
+pub enum Verdict {
+    /// Byte-identical.
+    Identical,
+    /// The bytes differ but every JSON value is equal: whitespace, key
+    /// order or number spelling changed.
+    Formatting,
+    /// These paths hold different values.
+    Differs(Vec<PathDiff>),
+}
+
+impl Verdict {
+    fn compare(name: &str, blessed: &[u8], fresh: &[u8]) -> Result<Verdict, TuneError> {
+        if blessed == fresh {
+            return Ok(Verdict::Identical);
+        }
+        let parse = |bytes: &[u8]| {
+            std::str::from_utf8(bytes).map_err(|e| e.to_string()).and_then(Json::parse)
+        };
+        let blessed = parse(blessed)
+            .map_err(|message| TuneError::Json { source: name.to_string(), message })?;
+        let fresh =
+            parse(fresh).map_err(|e| pipeline_error(name, &format!("fresh payload: {e}")))?;
+        let paths = json_diff(&blessed, &fresh);
+        Ok(if paths.is_empty() { Verdict::Formatting } else { Verdict::Differs(paths) })
+    }
+
+    fn label(&self) -> &'static str {
+        match self {
+            Verdict::Identical => "identical",
+            Verdict::Formatting => "formatting",
+            Verdict::Differs(_) => "differs",
+        }
+    }
+}
+
+/// The outcome of gating a fresh campaign run against a blessed
+/// baseline set: one [`Verdict`] per baseline file.
+#[derive(Clone, Debug)]
+pub struct GateReport {
+    /// The blessed (baseline) directory.
+    pub blessed_dir: PathBuf,
+    /// `(file name, verdict)` in [`Group::BASELINE`] order.
+    pub manifests: Vec<(String, Verdict)>,
+    /// Campaign nodes served from the store.
+    pub store_hits: usize,
+    /// Campaign nodes that had to run.
+    pub store_misses: usize,
+}
+
+impl GateReport {
+    /// How many manifests are not byte-identical to their blessed file.
+    #[must_use]
+    pub fn differing(&self) -> usize {
+        self.manifests
+            .iter()
+            .filter(|(_, verdict)| *verdict != Verdict::Identical)
+            .count()
+    }
+
+    /// `true` when every manifest is byte-identical.
+    #[must_use]
+    pub fn is_clean(&self) -> bool {
+        self.differing() == 0
+    }
+
+    /// The process exit code CI gates on: 0 identical, 1 a difference.
+    #[must_use]
+    pub fn exit_code(&self) -> i32 {
+        i32::from(!self.is_clean())
+    }
+
+    /// Renders the `BENCH_gate.json` manifest body.
+    #[must_use]
+    pub fn json(&self) -> Json {
+        Json::obj([
+            ("schema", Json::from("gate/v2")),
+            ("blessed_dir", Json::from(self.blessed_dir.display().to_string().as_str())),
+            (
+                "manifests",
+                Json::arr(self.manifests.iter().map(|(name, verdict)| {
+                    let mut json = Json::obj([
+                        ("file", Json::from(name.as_str())),
+                        ("verdict", Json::from(verdict.label())),
+                    ]);
+                    if let Verdict::Differs(paths) = verdict {
+                        json.push("paths", Json::arr(paths.iter().map(PathDiff::json)));
+                    }
+                    json
+                })),
+            ),
+            ("differing", Json::from(self.differing())),
+            ("ok", Json::from(self.is_clean())),
+        ])
+    }
+}
+
+/// Runs the five baseline pipelines through the campaign DAG on
+/// `store` and compares each payload with its blessed file in
+/// `blessed_dir` byte for byte. A warm store (right after a bless or
+/// a campaign run on the same tree) serves every manifest as a hit;
+/// a cold one recomputes it. `obs`, when armed, receives the engine
+/// and campaign metrics.
+///
+/// # Errors
+///
+/// [`TuneError::Io`] when a blessed file is missing or unreadable
+/// (checked before any pipeline runs), [`TuneError::Json`] when one
+/// that differs is not JSON, [`TuneError::Measure`] naming every failed
+/// pipeline node. Differences are *not* errors — they are reported
+/// through [`GateReport::manifests`].
+pub fn gate(
+    blessed_dir: &Path,
+    store: &Store,
+    quick: bool,
+    obs: Option<&Arc<Obs>>,
+) -> Result<GateReport, TuneError> {
+    let blessed = Group::BASELINE
+        .iter()
+        .map(|&group| {
+            let path = blessed_dir.join(baseline_file(group));
+            std::fs::read(&path).map_err(|e| TuneError::io(&path, &e))
+        })
+        .collect::<Result<Vec<Vec<u8>>, TuneError>>()?;
+    let run = run_baselines(store, quick, obs)?;
+    let (store_hits, store_misses) = (run.report.hits(), run.report.misses());
+    let mut manifests = Vec::with_capacity(Group::BASELINE.len());
+    for (group, blessed) in Group::BASELINE.into_iter().zip(blessed) {
+        let name = baseline_file(group);
+        let verdict = Verdict::compare(&name, &blessed, payload(&run, group)?)?;
+        manifests.push((name, verdict));
+    }
+    Ok(GateReport { blessed_dir: blessed_dir.to_path_buf(), manifests, store_hits, store_misses })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc(text: &str) -> Json {
+        Json::parse(text).expect("test document parses")
+    }
+
+    /// `(case, blessed, fresh, every differing path)`.
+    const CASES: [(&str, &str, &str, &[&str]); 5] = [
+        (
+            "nested field",
+            r#"{"a":{"b":{"c":1,"d":2}}}"#,
+            r#"{"a":{"b":{"c":1,"d":3}}}"#,
+            &["a.b.d"],
+        ),
+        (
+            "array index",
+            r#"{"runs":[{"n":1},{"n":2}]}"#,
+            r#"{"runs":[{"n":1},{"n":3}]}"#,
+            &["runs[1].n"],
+        ),
+        ("array length", r#"{"xs":[1,2]}"#, r#"{"xs":[1,2,3,4]}"#, &["xs[2]", "xs[3]"]),
+        (
+            "missing key",
+            r#"{"keep":1,"gone":{"x":1}}"#,
+            r#"{"keep":1,"new":true}"#,
+            &["gone", "new"],
+        ),
+        // An integer that became a float, a string that became an
+        // object: each differs where the types meet, not below it.
+        (
+            "type change",
+            r#"{"n":5,"s":"x","t":[1]}"#,
+            r#"{"n":5.0,"s":{"x":1},"t":[1]}"#,
+            &["n", "s"],
+        ),
+    ];
+
+    #[test]
+    fn json_diff_names_every_differing_path() {
+        for (case, blessed, fresh, expected) in CASES {
+            let diffs = json_diff(&doc(blessed), &doc(fresh));
+            let paths: Vec<&str> = diffs.iter().map(|d| d.path.as_str()).collect();
+            assert_eq!(paths, expected, "{case}");
+            assert!(json_diff(&doc(blessed), &doc(blessed)).is_empty(), "{case}");
+        }
+        // Both values ride along; a side without the path is absent.
+        let diffs = json_diff(&doc(CASES[0].1), &doc(CASES[0].2));
+        assert_eq!(diffs[0].to_string(), "a.b.d: blessed 2, fresh 3");
+        let grown = json_diff(&doc(CASES[2].1), &doc(CASES[2].2));
+        assert_eq!((&grown[1].blessed, &grown[1].fresh), (&None, &Some(Json::Uint(4))));
+        let gone = json_diff(&doc(CASES[3].1), &doc(CASES[3].2));
+        assert_eq!(gone[0].to_string(), r#"gone: blessed {"x":1}, fresh (absent)"#);
+    }
+
+    #[test]
+    fn formatting_only_difference_has_no_paths() {
+        let pretty = doc(r#"{"a":1.5,"b":[1,2]}"#).to_pretty();
+        let respelled = "{\"b\": [1, 2],\n \"a\": 1.50}";
+        let verdict = Verdict::compare("m.json", pretty.as_bytes(), respelled.as_bytes());
+        assert_eq!(verdict, Ok(Verdict::Formatting));
+        let same = Verdict::compare("m.json", pretty.as_bytes(), pretty.as_bytes());
+        assert_eq!(same, Ok(Verdict::Identical));
+        // A blessed file that is not JSON is an unreadable baseline.
+        let broken = Verdict::compare("m.json", b"{oops", pretty.as_bytes());
+        assert!(matches!(broken, Err(TuneError::Json { .. })), "{broken:?}");
+    }
 }

@@ -1,11 +1,16 @@
 //! `bless` — write canonical stored baselines.
 //!
-//! Runs the trace-report and tuned-areas pipelines and writes their
-//! canonical, deterministic manifests into the baselines directory
-//! (default `baselines/`, the copy committed to the repository). Run
-//! it after an *intentional* change to the simulator, energy model or
-//! layout shifts the numbers, then commit the refreshed manifests; the
-//! `gate` binary fails CI on any drift against them in the meantime.
+//! Runs the five baseline pipelines (trace report, tuned areas, chaos
+//! campaign, obs report, layout competition) through the campaign DAG
+//! and writes their deterministic manifests into the baselines
+//! directory (default `baselines/`, the copy committed to the
+//! repository). Run it after an *intentional* change to the simulator,
+//! energy model or layout shifts the numbers, then commit the
+//! refreshed manifests; the `gate` binary fails CI on any byte of drift
+//! against them in the meantime.
+//!
+//! Every run computes from scratch in a temporary store that is
+//! removed afterwards, so a stale store entry can never be blessed.
 //!
 //! Usage: `bless [--quick] [--dir DIR]`
 //!
@@ -18,7 +23,7 @@
 
 use std::path::PathBuf;
 
-use wp_bench::baseline::{bless, DEFAULT_BASELINE_DIR};
+use wp_bench::baseline::{bless, with_scratch_store, DEFAULT_BASELINE_DIR};
 
 fn usage() -> ! {
     eprintln!("usage: bless [--quick] [--dir DIR]");
@@ -38,7 +43,7 @@ fn main() {
         }
     }
 
-    match bless(&dir, quick) {
+    match with_scratch_store("bless", |store| bless(&dir, store, quick)) {
         Ok(paths) => {
             for path in paths {
                 println!("blessed: {}", path.display());

@@ -1,123 +1,81 @@
-//! `gate` — drift gating against stored baselines.
+//! `gate` — byte-exact gating against stored baselines.
 //!
-//! Re-runs the trace-report and tuned-areas pipelines into a scratch
-//! directory and drives `wp_tune::diff` against the blessed copies in
-//! the baselines directory (default `baselines/`): every counter or
-//! energy shift clearing both the relative gate and the absolute
-//! floor flags, as does any structural mismatch — a missing run, a
-//! changed grid, a renamed chain. The comparison is written to
-//! `BENCH_gate.json`.
+//! Runs the five baseline pipelines (trace report, tuned areas, chaos
+//! campaign, obs report, layout competition) through the campaign DAG
+//! and compares each fresh manifest with its blessed copy in the
+//! baselines directory (default `baselines/`) byte for byte. For every
+//! manifest that differs it prints each JSON path whose value changed,
+//! with the blessed and the fresh value, or reports that only the
+//! formatting changed. The comparison is written to `BENCH_gate.json`.
+//! To accept an intentional change, run `bless` and commit the result.
 //!
-//! Usage: `gate [--quick] [--dir DIR] [--store DIR] [--bless]
-//! [--rel T] [--abs-fetches N] [--abs-energy N]`
+//! Usage: `gate [--quick] [--dir DIR] [--store DIR]`
 //!
 //! `--quick` gates the CI smoke shape against a `bless --quick`
-//! directory; `--bless` refreshes the blessed manifests in place
-//! instead of gating — use it after an intentional change, then
-//! commit the result.
+//! directory. With `--store DIR` (or `$WP_STORE_DIR` set) the pipelines
+//! run against that wp-campaign store: a warm store (e.g. right after a
+//! campaign run on the same tree) serves every manifest as a pure hit
+//! and the gate costs milliseconds. Without one they run in a
+//! temporary store that is removed afterwards.
 //!
-//! With `--store DIR` (or `$WP_STORE_DIR` set) the fresh side runs
-//! through the wp-campaign content-addressed store instead of a
-//! temp-dir re-simulation: a warm store (e.g. right after a clean
-//! campaign run) serves every manifest as a pure hit and the gate
-//! costs seconds; a cold store computes exactly what the store-less
-//! path would. The diffed bytes are identical either way.
-//!
-//! Exit codes: `0` clean, `1` gated shift, structural regression or
-//! pipeline failure during the re-run, `2` usage or I/O error (a
-//! missing or unreadable baseline is an invocation problem, not
-//! drift).
+//! Exit codes: `0` every manifest identical, `1` a difference or a
+//! pipeline failure, `2` usage error or a missing or unreadable
+//! baseline (an invocation problem, not drift).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use std::path::PathBuf;
 
-use wp_bench::baseline::{bless, gate, gate_via_store, DEFAULT_BASELINE_DIR};
+use wp_bench::baseline::{gate, with_scratch_store, Verdict, DEFAULT_BASELINE_DIR};
 use wp_bench::write_manifest;
 use wp_campaign::Store;
-use wp_tune::{parse_threshold, DiffThresholds, TuneError};
+use wp_tune::TuneError;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: gate [--quick] [--dir DIR] [--store DIR] [--bless] [--rel T] [--abs-fetches N] \
-         [--abs-energy N]"
-    );
+    eprintln!("usage: gate [--quick] [--dir DIR] [--store DIR]");
     std::process::exit(2);
-}
-
-/// The gate's exit-code map for errors (regressions are not errors):
-/// bad arguments and unreadable/missing/corrupt baseline files are
-/// invocation problems (`2`); a pipeline failure while re-running
-/// means the tree can no longer reproduce its baseline (`1`).
-fn error_exit_code(error: &TuneError) -> i32 {
-    match error {
-        TuneError::Io { .. }
-        | TuneError::Json { .. }
-        | TuneError::MissingField { .. }
-        | TuneError::Malformed { .. } => 2,
-        _ => error.exit_code(),
-    }
 }
 
 fn run() -> Result<i32, TuneError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut refresh = false;
     let mut dir = PathBuf::from(DEFAULT_BASELINE_DIR);
     let mut store_root = wp_core::env::store_dir();
-    let mut thresholds = DiffThresholds::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--bless" => refresh = true,
             "--dir" => dir = PathBuf::from(iter.next().unwrap_or_else(|| usage())),
             "--store" => store_root = Some(PathBuf::from(iter.next().unwrap_or_else(|| usage()))),
-            "--rel" => thresholds.rel = parse_threshold(iter.next().unwrap_or_else(|| usage()))?,
-            "--abs-fetches" => {
-                thresholds.abs_fetches = parse_threshold(iter.next().unwrap_or_else(|| usage()))?;
-            }
-            "--abs-energy" => {
-                thresholds.abs_energy = parse_threshold(iter.next().unwrap_or_else(|| usage()))?;
-            }
             _ => usage(),
         }
     }
 
-    if refresh {
-        for path in bless(&dir, quick)? {
-            println!("blessed: {}", path.display());
-        }
-        return Ok(0);
-    }
-
     let report = if let Some(root) = store_root {
-        eprintln!("gate: fresh side via campaign store at {}", root.display());
-        gate_via_store(&dir, &Store::new(root), quick, thresholds, None)?
+        eprintln!("gate: campaign store at {}", root.display());
+        gate(&dir, &Store::new(root), quick, None)?
     } else {
-        let fresh_dir = std::env::temp_dir().join(format!("wp-gate-{}", std::process::id()));
-        let report = gate(&dir, &fresh_dir, quick, thresholds);
-        // The scratch manifests have served their purpose either way.
-        let _ = std::fs::remove_dir_all(&fresh_dir);
-        report?
+        with_scratch_store("gate", |store| gate(&dir, store, quick, None))?
     };
 
-    for (name, diff) in &report.diffs {
-        let flags = diff.regressions();
-        let verdict = if flags == 0 { "ok" } else { "REGRESSED" };
-        println!("{name:<28} {verdict:<9} {} run(s), {flags} flag(s)", diff.runs.len());
-        for run in diff.runs.iter().filter(|r| r.regressions() > 0) {
-            println!("  {:<26} {} flag(s)", run.key, run.regressions());
+    for (name, verdict) in &report.manifests {
+        match verdict {
+            Verdict::Identical => println!("{name:<28} identical"),
+            Verdict::Formatting => println!("{name:<28} DIFFERS   formatting only"),
+            Verdict::Differs(paths) => {
+                println!("{name:<28} DIFFERS   {} path(s)", paths.len());
+                for path in paths {
+                    println!("  {path}");
+                }
+            }
         }
     }
     println!(
-        "{} manifest(s), {} regression(s) (rel > {}, abs fetches > {}, abs energy > {})",
-        report.diffs.len(),
-        report.regressions(),
-        thresholds.rel,
-        thresholds.abs_fetches,
-        thresholds.abs_energy,
+        "{} manifest(s), {} differing from the blessed bytes",
+        report.manifests.len(),
+        report.differing()
     );
+    eprintln!("gate: campaign {} hit(s), {} miss(es)", report.store_hits, report.store_misses);
 
     let path = write_manifest("gate", &report.json()).map_err(|e| TuneError::Io {
         path: "BENCH_gate.json".to_string(),
@@ -132,7 +90,14 @@ fn main() {
         Ok(code) => std::process::exit(code),
         Err(error) => {
             eprintln!("gate: {error}");
-            std::process::exit(error_exit_code(&error));
+            // A missing, unreadable or non-JSON baseline is an
+            // invocation problem; a pipeline failure means the tree can
+            // no longer reproduce its baselines.
+            let code = match error {
+                TuneError::Io { .. } | TuneError::Json { .. } => 2,
+                _ => error.exit_code(),
+            };
+            std::process::exit(code);
         }
     }
 }

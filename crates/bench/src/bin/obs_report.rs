@@ -9,11 +9,11 @@
 //! * `OBS_journal.jsonl` — the structured event journal, sorted by its
 //!   deterministic `(group, local)` key: byte-identical across runs of
 //!   the same shape;
-//! * `BENCH_obs_report.json` — the manifest: `TraceSet`-joinable
-//!   account rows, deterministic metric values, and every
-//!   reconciliation check, plus a `wall` section (overhead measurement,
-//!   per-worker busy time) that is *excluded* from determinism
-//!   comparisons — the same exclusion the bless workflow applies.
+//! * `BENCH_obs_report.json` — the manifest: per-phase account rows,
+//!   deterministic metric values, and every reconciliation check, plus
+//!   a `wall` section (overhead measurement, per-worker busy time) that
+//!   is *excluded* from determinism comparisons — the blessed copy is
+//!   the canonical manifest without it.
 //!
 //! Every metric is cross-checked against independently derived ground
 //! truth (suite reports, chaos classifications, journal counts); any
@@ -201,8 +201,8 @@ fn run(quick: bool, watch: bool, sabotage: bool) -> Result<i32, String> {
         .map_err(|e| format!("writing OBS_journal.jsonl: {e}"))?;
 
     // The canonical manifest plus the host-dependent `wall` section —
-    // the one key determinism comparisons (and the bless workflow)
-    // exclude.
+    // the one key determinism comparisons exclude and the blessed copy
+    // never carries.
     let mut manifest = report.canonical_manifest();
     manifest.push(
         "wall",

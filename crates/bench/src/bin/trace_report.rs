@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use wp_bench::baseline::hot_chains_json;
+use wp_bench::baseline::{hot_chains_json, ENERGY_REL_TOL, TOP_K};
 use wp_bench::engine::Engine;
 use wp_bench::{manifest_path, write_manifest, Json};
 use wp_core::{measure_traced, MeasureOptions, Scheme, Workbench};
@@ -33,12 +33,8 @@ use wp_sim::{simulate, simulate_traced, NullSink, SimConfig};
 use wp_trace::{export, TraceRecorder};
 use wp_workloads::{Benchmark, InputSet};
 
-/// Hottest chains reported per run.
-const TOP_K: usize = 5;
 /// Acceptance bound on disabled-sink overhead, percent.
 const OVERHEAD_LIMIT_PCT: f64 = 2.0;
-/// Relative tolerance when summing per-chain picojoules.
-const ENERGY_REL_TOL: f64 = 1e-6;
 
 fn bench_dir() -> PathBuf {
     wp_core::env::bench_dir()
@@ -325,7 +321,7 @@ fn run(quick: bool) -> Result<i32, String> {
     let manifest = Json::obj([
         ("schema", Json::from("trace_report/v1")),
         ("quick", Json::from(quick)),
-        ("input_set", Json::from(if quick { "small" } else { "large" })),
+        ("input_set", Json::from(set.name())),
         ("interval_cycles", Json::Uint(interval_cycles)),
         ("runs", Json::Arr(runs)),
         (

@@ -45,7 +45,7 @@ use wp_obs::metrics::{Counter, Histogram};
 use wp_obs::Obs;
 use wp_tune::DEFAULT_TOLERANCE;
 
-use crate::engine::{set_name, Engine, Experiment, RetryPolicy};
+use crate::engine::{Engine, Experiment, RetryPolicy};
 use crate::{baseline, Json, FIGURE5_AREAS};
 
 /// Per-benchmark input-set tags. The tag names *which inputs* a
@@ -94,9 +94,7 @@ impl InputTags {
 /// keys, so a key printed into `provenance.task_key` always names the
 /// node that can rebuild those bytes.
 pub mod keys {
-    use super::{
-        set_name, Benchmark, CacheGeometry, Experiment, InputSet, InputTags, Scheme, TaskKey,
-    };
+    use super::{Benchmark, CacheGeometry, Experiment, InputSet, InputTags, Scheme, TaskKey};
     use crate::baseline;
 
     /// Global salt mixed into every key. Bump the epoch to invalidate
@@ -120,7 +118,7 @@ pub mod keys {
             tags.tag(benchmark).to_string(),
             geometry.to_string(),
             scheme.label(),
-            set_name(set).to_string(),
+            set.name().to_string(),
         ]
     }
 
@@ -151,7 +149,7 @@ pub mod keys {
             tags.tag(benchmark).to_string(),
             geometry.to_string(),
             scheme.label(),
-            set_name(set).to_string(),
+            set.name().to_string(),
             baseline::TOP_K.to_string(),
         ]
     }
@@ -258,7 +256,7 @@ pub mod keys {
             icache.to_string(),
             grid.join(","),
             tolerance.to_string(),
-            set_name(set).to_string(),
+            set.name().to_string(),
         ]
     }
 
@@ -305,7 +303,7 @@ pub mod keys {
             CAMPAIGN_EPOCH.to_string(),
             crate::chaos::CHAOS_SCHEMA.to_string(),
             quick.to_string(),
-            set_name(set).to_string(),
+            set.name().to_string(),
         ];
         parts.extend(benchmarks.iter().map(|b| format!("{}={}", b.name(), tags.tag(*b))));
         parts
@@ -353,7 +351,7 @@ pub mod keys {
             benchmark.name().to_string(),
             tags.tag(benchmark).to_string(),
             geometry.to_string(),
-            set_name(set).to_string(),
+            set.name().to_string(),
             crate::layout_compare::COMPARE_AREA_BYTES.to_string(),
             grid.join(","),
             super::DEFAULT_TOLERANCE.to_string(),
@@ -435,8 +433,8 @@ impl Group {
     /// The figure/table groups (`run --only fig`).
     pub const FIGURES: [Group; 5] =
         [Group::Fig1, Group::Table1, Group::Fig4, Group::Fig5, Group::Fig6];
-    /// The five blessed-baseline groups, in [`baseline::BASELINE_FILES`]
-    /// order — what the store-backed gate runs.
+    /// The five blessed-baseline groups — what [`baseline::bless`] and
+    /// [`baseline::gate`] run — in the order they report them.
     pub const BASELINE: [Group; 5] =
         [Group::Trace, Group::Tune, Group::Chaos, Group::Obs, Group::LayoutCompare];
 
@@ -712,7 +710,7 @@ fn plan_measure(
 ) -> TaskId {
     let parts = keys::measure_parts(benchmark, geometry, scheme, set, tags);
     let label =
-        format!("measure/{}/{}/{}/{}", benchmark.name(), geometry, scheme.label(), set_name(set));
+        format!("measure/{}/{}/{}/{}", benchmark.name(), geometry, scheme.label(), set.name());
     let engine = Arc::clone(engine);
     add_node(dag, label, &parts, &[], move |_| {
         let experiment = Experiment::new([benchmark], [geometry], [scheme]).with_input_set(set);
@@ -784,7 +782,7 @@ fn plan_trace(dag: &mut Dag, config: &CampaignConfig, engine: &Arc<Engine>) -> T
             let label = format!("trace-run/{}/{}", benchmark.name(), scheme.label());
             let engine = Arc::clone(engine);
             dep_ids.push(add_node(dag, label, &parts, &[], move |_| {
-                baseline::canonical_run_on(&engine, benchmark, icache, scheme, set)
+                baseline::canonical_run(&engine, benchmark, icache, scheme, set)
                     .map(|run| run.to_compact().into_bytes())
                     .map_err(|e| e.to_string())
             }));

@@ -19,10 +19,10 @@
 //!    (I-cache + recovery checks) stays within
 //!    [`CLEAN_OVERHEAD_LIMIT`] of the unarmed clean twin.
 //!
-//! [`build_chaos_baseline`] renders the whole campaign as a
-//! byte-deterministic manifest whose `runs` rows are joinable by
-//! `wp_tune::TraceSet`, so the blessed copy rides the same bless/gate
-//! workflow as the trace-report and tuned-areas baselines.
+//! [`ChaosOutcome::manifest`] renders the whole campaign as a
+//! byte-deterministic manifest; the campaign DAG's chaos node
+//! ([`build_chaos_baseline_with_key`]) produces the copy that is
+//! blessed and gated byte for byte with the other stored baselines.
 
 use std::sync::Arc;
 
@@ -90,9 +90,9 @@ pub struct ChaosTrial {
 }
 
 impl ChaosTrial {
-    /// The manifest row key's scheme column: `label@rate` keeps every
-    /// (benchmark, scheme, rate) row structurally distinct under the
-    /// differ's `benchmark/scheme` join.
+    /// The manifest row's scheme column: `label@rate`, so every
+    /// (benchmark, scheme, rate) row has a distinct
+    /// `benchmark`/`scheme` pair.
     #[must_use]
     pub fn scheme_key(&self) -> String {
         format!("{}@{}ppm", self.scheme.label(), self.rate_ppm)
@@ -163,7 +163,7 @@ impl ChaosTrial {
 }
 
 /// The finished campaign: every trial and the violation lists the
-/// binary and [`build_chaos_baseline`] fail on.
+/// binary and [`build_chaos_baseline_with_key`] fail on.
 #[derive(Clone, Debug)]
 pub struct ChaosOutcome {
     /// Whether this was the quick (CI smoke) shape.
@@ -201,17 +201,16 @@ impl ChaosOutcome {
         (count("graceful"), count("detected"), count("silent-corruption"))
     }
 
-    /// Renders the byte-deterministic campaign manifest. The `runs`
-    /// array is `wp_tune::TraceSet`-joinable (benchmark/scheme keys,
-    /// `fetches` + `icache_pj` metrics), so the blessed copy gates
-    /// drift in fetch counts and recovery-inclusive energy per rung.
+    /// Renders the byte-deterministic campaign manifest: one `runs`
+    /// row per rung (fetches, recovery-inclusive energy, outcome,
+    /// detections and ladder moves) plus the invariant summary.
     #[must_use]
     pub fn manifest(&self) -> Json {
         let key = crate::campaign::keys::chaos(self.quick, &crate::campaign::InputTags::default());
         self.manifest_with_key(&key)
     }
 
-    /// [`CampaignOutcome::manifest`] with an explicit provenance task
+    /// [`ChaosOutcome::manifest`] with an explicit provenance task
     /// key, so the campaign DAG can stamp the key of the node that
     /// produced these bytes.
     #[must_use]
@@ -227,13 +226,7 @@ impl ChaosOutcome {
                 Json::obj([
                     ("quick", Json::from(self.quick)),
                     ("geometry", Json::from(self.geometry.to_string())),
-                    (
-                        "input_set",
-                        Json::from(match set {
-                            InputSet::Small => "small",
-                            InputSet::Large => "large",
-                        }),
-                    ),
+                    ("input_set", Json::from(set.name())),
                     ("rates_ppm", Json::arr(CHAOS_RATES_PPM.iter().map(|&r| Json::from(r)))),
                     ("benchmarks", Json::arr(benchmarks.iter().map(|b| Json::from(b.name())))),
                     (
@@ -466,19 +459,10 @@ pub fn run_campaign_on(engine: &Engine, quick: bool) -> ChaosOutcome {
     outcome
 }
 
-/// Runs the campaign and renders the blessed manifest, refusing to
-/// bless a tree whose resilience invariants do not hold.
-///
-/// # Errors
-///
-/// A description of the violated invariant(s).
-pub fn build_chaos_baseline(quick: bool) -> Result<Json, String> {
-    let key = crate::campaign::keys::chaos(quick, &crate::campaign::InputTags::default());
-    build_chaos_baseline_with_key(quick, &key)
-}
-
-/// [`build_chaos_baseline`] with an explicit provenance task key (the
-/// campaign DAG passes the key of the chaos node).
+/// Runs the campaign and renders the blessed manifest stamped with
+/// `task_key` (the campaign DAG passes the key of its chaos node),
+/// refusing to produce a baseline whose resilience invariants do not
+/// hold.
 ///
 /// # Errors
 ///

@@ -35,7 +35,8 @@
 //!   *transient* ([`CoreError::is_transient`]: host I/O hiccups and
 //!   wall-clock watchdog timeouts), with deterministic exponential
 //!   backoff. Memoised failure cells are evicted before each retry so a
-//!   cached `Err` cannot permanently poison a benchmark.
+//!   cached `Err` cannot permanently poison a benchmark, and a failed
+//!   cell costs one retry however many jobs met it.
 //! * **Watchdog** — [`Engine::with_job_time_limit`] arms
 //!   `wp-sim`'s wall-clock watchdog for every profiling and measurement
 //!   run, converting hung jobs into typed
@@ -79,13 +80,6 @@ pub type SharedError = Arc<CoreError>;
 /// information here.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-pub(crate) fn set_name(set: InputSet) -> &'static str {
-    match set {
-        InputSet::Small => "small",
-        InputSet::Large => "large",
-    }
 }
 
 /// A declarative experiment: the full cross product of benchmarks,
@@ -140,7 +134,7 @@ impl Experiment {
             ("benchmarks", Json::arr(self.benchmarks.iter().map(|b| Json::from(b.name())))),
             ("geometries", Json::arr(self.geometries.iter().map(|g| Json::from(g.to_string())))),
             ("schemes", Json::arr(self.schemes.iter().map(|s| Json::from(s.label())))),
-            ("input_set", Json::from(set_name(self.input_set))),
+            ("input_set", Json::from(self.input_set.name())),
         ])
     }
 }
@@ -1114,24 +1108,29 @@ impl Engine {
         }
     }
 
-    /// Evicts cache cells that currently hold an `Err` for this job's
-    /// benchmark/baseline, so a retry re-runs the failed phase instead
-    /// of replaying the memoised failure. Successful cells are never
-    /// evicted.
-    fn evict_failed(&self, benchmark: Benchmark, geometry: CacheGeometry, set: InputSet) {
-        {
-            let mut map = lock(&self.workbenches);
-            if map.get(&benchmark).is_some_and(|cell| matches!(cell.get(), Some(Err(_)))) {
-                map.remove(&benchmark);
-            }
+    /// Evicts this job's workbench and baseline cells if they still
+    /// memoise `error`, so a retry re-runs the failed phase instead of
+    /// replaying the failure. Returns `false` when neither does: the
+    /// error did not come from a cell (a measure-phase failure), or
+    /// another job that met the same failed cell evicted it first.
+    fn evict_failed(
+        &self,
+        benchmark: Benchmark,
+        geometry: CacheGeometry,
+        set: InputSet,
+        error: &SharedError,
+    ) -> bool {
+        fn evict<K: std::hash::Hash + Eq, T>(
+            map: &Mutex<HashMap<K, Cached<T>>>,
+            key: &K,
+            error: &SharedError,
+        ) -> bool {
+            let mut map = lock(map);
+            let failed = map.get(key).and_then(|cell| cell.get()?.as_ref().err());
+            failed.is_some_and(|e| Arc::ptr_eq(e, error)) && map.remove(key).is_some()
         }
-        {
-            let mut map = lock(&self.baselines);
-            let key = (benchmark, geometry, set);
-            if map.get(&key).is_some_and(|cell| matches!(cell.get(), Some(Err(_)))) {
-                map.remove(&key);
-            }
-        }
+        let workbench = evict(&self.workbenches, &benchmark, error);
+        evict(&self.baselines, &(benchmark, geometry, set), error) || workbench
     }
 
     /// Measures one scheme through the caches: the workbench is
@@ -1205,7 +1204,7 @@ impl Engine {
                 "suite_start",
                 vec![
                     ("jobs", jobs.len().to_string()),
-                    ("input_set", set_name(experiment.input_set).to_string()),
+                    ("input_set", experiment.input_set.name().to_string()),
                 ],
             );
             base
@@ -1297,7 +1296,10 @@ impl Engine {
     /// ([`CoreError::is_transient`]) are re-attempted up to
     /// [`RetryPolicy::max_attempts`] with deterministic backoff,
     /// evicting memoised failure cells first; deterministic failures
-    /// return immediately.
+    /// return immediately. A failed cell costs one retry however many
+    /// jobs met it: a job whose workbench or baseline failure another
+    /// job already evicted re-reads the cell without counting a retry
+    /// or backing off.
     fn run_job(
         &self,
         benchmark: Benchmark,
@@ -1340,6 +1342,10 @@ impl Engine {
                         }
                     }
                     if attempt < self.retry.max_attempts && failure.error.is_transient() {
+                        let evicted = self.evict_failed(benchmark, geometry, set, &failure.error);
+                        if !evicted && failure.phase != JobPhase::Measure {
+                            continue;
+                        }
                         self.counters.retries.fetch_add(1, Ordering::Relaxed);
                         if let (Some(obs), Some(m)) = (&self.obs, &self.metrics) {
                             m.retries.inc();
@@ -1369,7 +1375,6 @@ impl Engine {
                                 ],
                             );
                         }
-                        self.evict_failed(benchmark, geometry, set);
                         std::thread::sleep(self.retry.delay(attempt));
                         attempt += 1;
                         continue;

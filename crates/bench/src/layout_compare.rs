@@ -211,7 +211,7 @@ pub fn layout_manifest_from_runs(
             "provenance",
             Json::obj([
                 ("quick", Json::from(quick)),
-                ("input_set", Json::from(crate::baseline::input_set_name(set))),
+                ("input_set", Json::from(set.name())),
                 ("geometry", Json::from(icache.to_string())),
                 ("compare_area_bytes", Json::from(COMPARE_AREA_BYTES)),
                 ("grid", Json::arr(FIGURE5_AREAS.iter().map(|&a| Json::from(a)))),

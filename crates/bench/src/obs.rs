@@ -18,9 +18,8 @@
 //! The canonical manifest ([`ObsReport::canonical_manifest`]) is
 //! byte-deterministic — accounts are exported without their wall-clock
 //! column and the only histograms included count simulated quantities —
-//! so `BENCH_obs_report.json` rides the same bless/gate workflow as the
-//! other stored baselines (its `runs` rows are
-//! `wp_tune::TraceSet`-joinable).
+//! so `BENCH_obs_report.json` is blessed and gated byte for byte with
+//! the other stored baselines.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -140,7 +139,7 @@ impl ObsReport {
     }
 
     /// The byte-deterministic manifest: provenance, accounts rendered
-    /// as `TraceSet`-joinable `runs` rows (wall-clock column dropped),
+    /// as `runs` rows keyed `scheme#phase` (wall-clock column dropped),
     /// the deterministic metric values, and every check verdict.
     #[must_use]
     pub fn canonical_manifest(&self) -> Json {
@@ -210,13 +209,7 @@ impl ObsReport {
                 Json::obj([
                     ("quick", Json::from(self.quick)),
                     ("workers", Json::from(OBS_WORKERS)),
-                    (
-                        "input_set",
-                        Json::from(match self.experiment.input_set {
-                            InputSet::Small => "small",
-                            InputSet::Large => "large",
-                        }),
-                    ),
+                    ("input_set", Json::from(self.experiment.input_set.name())),
                     (
                         "benchmarks",
                         Json::arr(self.experiment.benchmarks.iter().map(|b| Json::from(b.name()))),
@@ -439,20 +432,10 @@ fn reconcile(
     checks
 }
 
-/// Runs the pipeline and renders the blessed manifest, refusing — like
-/// the chaos campaign — to bless a tree whose observability layer does
-/// not reconcile.
-///
-/// # Errors
-///
-/// A description of the failed check(s) or infrastructure failure.
-pub fn build_obs_baseline(quick: bool) -> Result<Json, String> {
-    let key = crate::campaign::keys::obs(quick, &crate::campaign::InputTags::default());
-    build_obs_baseline_with_key(quick, &key)
-}
-
-/// [`build_obs_baseline`] with an explicit provenance task key (the
-/// campaign DAG passes the key of the obs node).
+/// Runs the pipeline and renders the blessed manifest stamped with
+/// `task_key` (the campaign DAG passes the key of its obs node),
+/// refusing — like the chaos campaign — to produce a baseline whose
+/// observability layer does not reconcile.
 ///
 /// # Errors
 ///

@@ -1,14 +1,13 @@
 //! End-to-end tests for the campaign DAG: cold-run byte identity with
 //! the standalone builders and with a direct engine run, warm-rerun
 //! purity (zero misses, identical bytes), single-benchmark
-//! invalidation recomputing only its dependency cone, a killed
-//! campaign resuming through the store, and the store-backed gate
-//! resolving every fresh manifest as a hit against a warm store.
+//! invalidation recomputing only its dependency cone, and a killed
+//! campaign resuming through the store. The store-backed baseline gate
+//! is covered in `tests/baseline.rs`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use wp_bench::baseline::gate_via_store;
 use wp_bench::campaign::{
     fig1_data, fig1_manifest, fig_experiment, keys, plan, run, CampaignConfig, Group, InputTags,
 };
@@ -18,7 +17,6 @@ use wp_core::wp_mem::CacheGeometry;
 use wp_core::wp_workloads::{Benchmark, InputSet};
 use wp_core::{CoreError, Scheme};
 use wp_obs::Obs;
-use wp_tune::DiffThresholds;
 
 /// A fresh scratch directory under the system temp dir; any leftover
 /// from a previous run is cleared first.
@@ -188,36 +186,4 @@ fn killed_campaign_resumes_through_the_store() {
 
     let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(fresh.root());
-}
-
-#[test]
-fn gate_via_store_is_pure_hits_against_a_warm_store() {
-    let store = Store::new(scratch("gate"));
-    let config = CampaignConfig::new(true, Group::BASELINE.to_vec());
-    let warm = run(&config, &store, None);
-    assert!(warm.report.ok(), "warm-up run failed: {:?}", warm.report.failures());
-
-    // Bless straight from the campaign payloads: the store-backed gate
-    // must then diff clean without a single re-simulation.
-    let blessed = scratch("gate-blessed");
-    std::fs::create_dir_all(&blessed).expect("create blessed dir");
-    for (group, bytes) in warm.manifests() {
-        let name = format!("BENCH_{}.json", group.manifest_name());
-        std::fs::write(blessed.join(name), bytes).expect("write blessed manifest");
-    }
-
-    let obs = Obs::new();
-    let report = gate_via_store(&blessed, &store, true, DiffThresholds::default(), Some(&obs))
-        .expect("gate");
-    assert!(report.is_clean(), "warm gate flagged: {:?}", report.json().to_compact());
-    assert_eq!(report.exit_code(), 0);
-    assert_eq!(misses(&obs), 0, "a warm gate re-simulates nothing");
-    assert_eq!(
-        hits(&obs),
-        Group::BASELINE.len() as u64,
-        "every fresh manifest resolves from the store"
-    );
-
-    let _ = std::fs::remove_dir_all(store.root());
-    let _ = std::fs::remove_dir_all(blessed);
 }

@@ -79,6 +79,35 @@ fn transient_build_failure_is_retried_and_succeeds() {
     assert_eq!(report.stats.workbench_builds, 2, "{:?}", report.stats);
 }
 
+/// A failed workbench cell costs one retry however many jobs met it.
+/// Six Crc jobs on two workers all read the memoised attempt-1 build
+/// failure; whichever job evicts it counts the retry, and every other
+/// job that read the same cell re-reads it for free. How many jobs read
+/// the failed cell before the first eviction depends on scheduling, so
+/// the shape is repeated on fresh engines.
+#[test]
+fn a_failed_cell_costs_one_retry_however_many_jobs_met_it() {
+    let schemes: Vec<Scheme> = std::iter::once(Scheme::WayMemoization)
+        .chain([1, 2, 4, 8, 16].map(|kb| Scheme::WayPlacement { area_bytes: kb * 1024 }))
+        .collect();
+    let experiment = Experiment::new([Benchmark::Crc], [CacheGeometry::xscale_icache()], schemes)
+        .with_input_set(InputSet::Small);
+    for run in 0..50 {
+        let engine = Engine::with_workers(2)
+            .with_retry(RetryPolicy::new(3, Duration::ZERO))
+            .with_build_fault(|_benchmark, attempt| {
+                (attempt == 1).then(|| CoreError::Io {
+                    context: "injected transient fault".to_string(),
+                    message: "simulated EIO".to_string(),
+                })
+            });
+        let report = engine.run(&experiment);
+        assert!(report.is_complete(), "run {run}: failures {:?}", report.failures);
+        assert_eq!(report.stats.retries, 1, "run {run}: {:?}", report.stats);
+        assert_eq!(report.stats.workbench_builds, 2, "run {run}: {:?}", report.stats);
+    }
+}
+
 /// Deterministic failures (wrong checksum) are not retried even under
 /// a generous retry policy: the failure reports exactly one attempt.
 #[test]

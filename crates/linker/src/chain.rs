@@ -69,7 +69,7 @@ pub fn build_chains(icfg: &Icfg, profile: &Profile) -> Vec<Chain> {
 ///
 /// Each variant is a [`crate::LayoutPass`]; the first four are the
 /// original chain-sorting passes, the last two delegate to the
-/// literature passes in [`crate::passes`].
+/// literature passes [`crate::ExtTsp`] and [`crate::Codestitcher`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Layout {
     /// Original (object concatenation) order — what an ordinary linker

@@ -309,7 +309,7 @@ pub struct DataAccess {
 /// state ([`DataSide::probe`]) depends only on the data-address stream;
 /// only the write buffer's drain depends on the pipeline clock, so
 /// lock-step timing lanes share one `DataSide` and keep a
-/// [`WriteBuffer`] each.
+/// [`crate::WriteBuffer`] each.
 #[derive(Clone, Debug)]
 pub struct DataSide {
     dcache: DataCache,

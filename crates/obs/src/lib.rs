@@ -10,7 +10,7 @@
 //! * [`account`] — per-phase resource accounting attributed by
 //!   benchmark × scheme × phase.
 //!
-//! Plus [`env`], the unified reader for every `WP_*` environment gate.
+//! Plus [`mod@env`], the unified reader for every `WP_*` environment gate.
 //!
 //! Arming follows the same compile-out discipline as `wp-trace`'s
 //! `NullSink`: consumers hold an `Option<Arc<Obs>>` that is `None`

@@ -20,7 +20,6 @@ use wp_energy::ratio;
 use wp_trace::Json;
 
 use crate::error::TuneError;
-use crate::manifest::TUNED_SCHEMA;
 
 /// Default relative shift gate (2%).
 pub const DEFAULT_REL_TOL: f64 = 0.02;
@@ -172,11 +171,9 @@ fn require_f64(value: &Json, field: &str, source: &str) -> Result<f64, TuneError
 
 impl TraceSet {
     /// Loads and parses a capture file, sniffing its format: a JSON
-    /// document with a `tuned_areas/v1` schema is a
-    /// `BENCH_tuned_areas.json` manifest; one with a `runs` array is a
-    /// `BENCH_trace_report.json` manifest; a stream of single-line
-    /// objects whose first line is a `meta` record is a
-    /// `TRACE_*.jsonl` export.
+    /// document with a `runs` array is a `BENCH_trace_report.json`
+    /// manifest; a stream of single-line objects whose first line is a
+    /// `meta` record is a `TRACE_*.jsonl` export.
     ///
     /// # Errors
     ///
@@ -200,9 +197,7 @@ impl TraceSet {
     pub fn parse(text: &str, source: &str, stem: &str) -> Result<TraceSet, TuneError> {
         match Json::parse(text) {
             Ok(document) => {
-                if document.get("schema").and_then(Json::as_str) == Some(TUNED_SCHEMA) {
-                    TraceSet::from_tuned(&document, source)
-                } else if document.get("runs").is_some() {
+                if document.get("runs").is_some() {
                     TraceSet::from_manifest(&document, source)
                 } else if document.get("type").and_then(Json::as_str) == Some("meta") {
                     // A one-line JSONL file parses as a single object.
@@ -315,54 +310,6 @@ impl TraceSet {
             energy_unit: "tag_comparisons",
             task_key: None,
             runs: vec![RunTrace { key: stem.to_string(), fetches, energy: tags, chains }],
-        })
-    }
-
-    /// A `BENCH_tuned_areas.json` manifest as a diffable capture, so
-    /// the stored-baseline gate drives tuned areas and trace reports
-    /// through the same join.
-    ///
-    /// Each benchmark becomes one run keyed `tuned/<benchmark>` whose
-    /// *fetch* metric carries the chosen area in bytes — the grid's
-    /// smallest step (1 KB, a ≥33% relative move) clears the default
-    /// gates, so any knee drift flags — and whose *energy* metric is
-    /// the measured pJ at that area. The prediction curve rides along
-    /// as chains keyed `area-<bytes>`, so a model shift at any grid
-    /// point (or a changed grid — a structural key mismatch) flags
-    /// even when the chosen knee happens to survive it.
-    fn from_tuned(document: &Json, source: &str) -> Result<TraceSet, TuneError> {
-        let benchmarks = document.get("benchmarks").and_then(Json::as_array).ok_or_else(|| {
-            TuneError::MissingField { source: source.to_string(), field: "benchmarks".to_string() }
-        })?;
-        let mut runs = Vec::with_capacity(benchmarks.len());
-        let mut run_keys = Vec::new();
-        for entry in benchmarks {
-            let benchmark = require_str(entry, "benchmark", source)?;
-            let chosen_area = require_f64(entry, "chosen_area_bytes", source)?;
-            let measured_pj = require_f64(entry, "measured_pj", source)?;
-            let mut chains = Vec::new();
-            let mut chain_keys = Vec::new();
-            for point in entry.get("prediction").and_then(Json::as_array).unwrap_or(&[]) {
-                let area_bytes = require_f64(point, "area_bytes", source)?;
-                chains.push(ChainRow {
-                    key: unique_key(format!("area-{area_bytes}"), &mut chain_keys),
-                    fetches: area_bytes,
-                    energy: require_f64(point, "energy_pj", source)?,
-                });
-            }
-            runs.push(RunTrace {
-                key: unique_key(format!("tuned/{benchmark}"), &mut run_keys),
-                fetches: chosen_area,
-                energy: measured_pj,
-                chains,
-            });
-        }
-        Ok(TraceSet {
-            source: source.to_string(),
-            kind: "tuned",
-            energy_unit: "pJ",
-            task_key: provenance_task_key(document),
-            runs,
         })
     }
 }
@@ -882,60 +829,6 @@ mod tests {
             matches!(&err, TuneError::Malformed { source, .. } if source == "t.jsonl:2"),
             "{err}"
         );
-    }
-
-    fn tuned_manifest_text() -> String {
-        let point = |area: u32, pj: f64| {
-            Json::obj([("area_bytes", Json::from(area)), ("energy_pj", Json::from(pj))])
-        };
-        Json::obj([
-            ("schema", Json::from(TUNED_SCHEMA)),
-            ("tolerance", Json::from(0.02)),
-            ("grid", Json::arr([Json::from(2048u32), Json::from(1024u32)])),
-            (
-                "benchmarks",
-                Json::arr([Json::obj([
-                    ("benchmark", Json::from("crc")),
-                    ("chosen_area_bytes", Json::from(1024u32)),
-                    ("measured_pj", Json::from(50_000.0)),
-                    ("prediction", Json::arr([point(2048, 49_000.0), point(1024, 50_000.0)])),
-                ])]),
-            ),
-        ])
-        .to_pretty()
-    }
-
-    #[test]
-    fn tuned_manifests_self_diff_clean() {
-        let parsed = set(&tuned_manifest_text(), "tuned");
-        assert_eq!(parsed.kind, "tuned");
-        assert_eq!(parsed.energy_unit, "pJ");
-        assert_eq!(parsed.runs.len(), 1);
-        assert_eq!(parsed.runs[0].key, "tuned/crc");
-        assert_eq!(parsed.runs[0].fetches, 1024.0);
-        assert_eq!(parsed.runs[0].energy, 50_000.0);
-        assert_eq!(parsed.runs[0].chains[0].key, "area-2048");
-        let diff = TraceDiff::compute(&parsed, &parsed, DiffThresholds::default());
-        assert!(diff.is_clean());
-    }
-
-    #[test]
-    fn tuned_area_and_energy_drift_flag() {
-        let left = set(&tuned_manifest_text(), "l");
-        // A one-step knee move (1024 → 2048 B) must clear the default
-        // gates: the smallest grid step is a ≥33% relative move.
-        let moved = tuned_manifest_text()
-            .replace("\"chosen_area_bytes\": 1024", "\"chosen_area_bytes\": 2048");
-        let diff = TraceDiff::compute(&left, &set(&moved, "r"), DiffThresholds::default());
-        assert_eq!(diff.regressions(), 1, "the moved knee flags the fetch (area) metric");
-        // A prediction-model shift at a non-chosen grid point flags too.
-        let model = tuned_manifest_text().replace("49000", "59000");
-        let diff = TraceDiff::compute(&left, &set(&model, "r"), DiffThresholds::default());
-        assert_eq!(diff.regressions(), 1);
-        // A changed grid is a structural chain mismatch.
-        let regrid = tuned_manifest_text().replace("area_bytes\": 2048", "area_bytes\": 4096");
-        let diff = TraceDiff::compute(&left, &set(&regrid, "r"), DiffThresholds::default());
-        assert!(diff.regressions() >= 2, "old and new grid points both flag");
     }
 
     #[test]

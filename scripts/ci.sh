@@ -19,6 +19,10 @@ echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [[ "$quick" -eq 1 ]]; then
+    echo "== rustdoc (deny warnings) =="
+    # --lib: the wp-campaign binary and library would collide in doc/.
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
     echo "== SoA/per-line differential equivalence (quick sweep) =="
     WP_QUICK=1 cargo test -q -p wp-mem --test soa_equivalence
 
@@ -84,6 +88,7 @@ if [[ "$quick" -eq 1 ]]; then
     trap 'rm -rf "$smoke_dir"' EXIT
     cargo run -q --bin bless -- --quick --dir "$smoke_dir/baselines"
     WP_BENCH_DIR="$smoke_dir" cargo run -q --bin gate -- --quick --dir "$smoke_dir/baselines"
+    cp -r "$smoke_dir/baselines" "$smoke_dir/cycles"
     # Perturb one blessed chain energy by ~10x; the gate must flag it
     # and exit with code exactly 1 (2 would mean a broken invocation).
     sed -i '0,/"energy_pj": /s/"energy_pj": /"energy_pj": 9/' \
@@ -93,6 +98,26 @@ if [[ "$quick" -eq 1 ]]; then
         || gate_code=$?
     if [[ "$gate_code" -ne 1 ]]; then
         echo "gate on a perturbed baseline: expected exit 1, got $gate_code" >&2
+        exit 1
+    fi
+    # One cycle more in the first traced run: the byte-exact gate must
+    # exit exactly 1 and name the JSON path in its report.
+    awk '!bumped && match($0, /"cycles": [0-9]+/) {
+            cycles = substr($0, RSTART + 10, RLENGTH - 10) + 1
+            $0 = substr($0, 1, RSTART - 1) "\"cycles\": " cycles substr($0, RSTART + RLENGTH)
+            bumped = 1
+        } { print }' "$smoke_dir/cycles/BENCH_trace_report.json" \
+        >"$smoke_dir/cycles/BENCH_trace_report.json.new"
+    mv "$smoke_dir/cycles/BENCH_trace_report.json.new" "$smoke_dir/cycles/BENCH_trace_report.json"
+    gate_code=0
+    WP_BENCH_DIR="$smoke_dir" cargo run -q --bin gate -- --quick --dir "$smoke_dir/cycles" \
+        || gate_code=$?
+    if [[ "$gate_code" -ne 1 ]]; then
+        echo "gate on a one-cycle drift: expected exit 1, got $gate_code" >&2
+        exit 1
+    fi
+    if ! grep -qF '"path": "runs[0].cycles"' "$smoke_dir/BENCH_gate.json"; then
+        echo "gate report does not name runs[0].cycles" >&2
         exit 1
     fi
 
