@@ -1,13 +1,16 @@
 //! End-to-end tests for the campaign DAG: cold-run byte identity with
 //! the standalone builders and with a direct engine run, warm-rerun
 //! purity (zero misses, identical bytes), single-benchmark
-//! invalidation recomputing only its dependency cone, and a killed
-//! campaign resuming through the store. The store-backed baseline gate
-//! is covered in `tests/baseline.rs`.
+//! invalidation recomputing only its dependency cone, a killed
+//! campaign resuming through the store, and the baseline gate
+//! resolving every fresh manifest as a hit against a store a plain
+//! campaign run left warm. The bless/gate round trip and its
+//! perturbations are covered in `tests/baseline.rs`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use wp_bench::baseline::{baseline_file, gate};
 use wp_bench::campaign::{
     fig1_data, fig1_manifest, fig_experiment, keys, plan, run, CampaignConfig, Group, InputTags,
 };
@@ -186,4 +189,34 @@ fn killed_campaign_resumes_through_the_store() {
 
     let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(fresh.root());
+}
+
+#[test]
+fn gate_via_store_is_pure_hits_against_a_warm_store() {
+    let store = Store::new(scratch("gate"));
+    let config = CampaignConfig::new(true, Group::BASELINE.to_vec());
+    let warm = run(&config, &store, None);
+    assert!(warm.report.ok(), "warm-up run failed: {:?}", warm.report.failures());
+
+    // Bless straight from the campaign payloads: the gate must then
+    // find every manifest identical without a single re-simulation.
+    let blessed = scratch("gate-blessed");
+    std::fs::create_dir_all(&blessed).expect("create blessed dir");
+    for (group, bytes) in warm.manifests() {
+        std::fs::write(blessed.join(baseline_file(*group)), bytes).expect("write blessed manifest");
+    }
+
+    let obs = Obs::new();
+    let report = gate(&blessed, &store, true, Some(&obs)).expect("gate");
+    assert!(report.is_clean(), "warm gate differs: {}", report.json().to_compact());
+    assert_eq!(report.exit_code(), 0);
+    assert_eq!(misses(&obs), 0, "a warm gate re-simulates nothing");
+    assert_eq!(
+        hits(&obs),
+        Group::BASELINE.len() as u64,
+        "every fresh manifest resolves from the store"
+    );
+
+    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(blessed);
 }
