@@ -153,8 +153,11 @@ pub(crate) fn tune_benchmark_on(
 }
 
 /// Tunes a set of benchmarks and assembles the
-/// `BENCH_tuned_areas.json` manifest body. Fully deterministic: two
-/// calls with the same inputs render byte-identical text.
+/// `BENCH_tuned_areas.json` manifest body, `quick` naming the CI smoke
+/// shape. Fully deterministic: two calls with the same inputs render
+/// byte-identical text, and on a campaign shape
+/// ([`crate::baseline::tuned_benchmarks`]) the bytes the campaign's
+/// tuned-areas node publishes.
 ///
 /// # Errors
 ///
@@ -167,6 +170,7 @@ pub fn tune_suite(
     grid: &[u32],
     tolerance: f64,
     set: InputSet,
+    quick: bool,
 ) -> Result<(Vec<BenchmarkTuning>, Json), TuneError> {
     let tunings = benchmarks
         .iter()
@@ -181,15 +185,15 @@ pub fn tune_suite(
         &crate::campaign::InputTags::default(),
     );
     let rows = tunings.iter().map(BenchmarkTuning::json).collect();
-    let manifest = tuned_manifest_from(rows, icache, grid, tolerance, set, &task_key);
+    let manifest = tuned_manifest_from(rows, icache, grid, tolerance, set, quick, &task_key);
     Ok((tunings, manifest))
 }
 
 /// Assembles the `tuned_areas/v1` manifest body from already-rendered
 /// per-benchmark tuning rows. Split from [`tune_suite`] so a campaign
-/// manifest node can build byte-identical output from stored tune
-/// payloads; `task_key` lands in a trailing provenance block
-/// (display-only — `fig5 --areas` and the diff gate ignore it).
+/// manifest node builds byte-identical output from stored tune
+/// payloads; `task_key` lands in a provenance block (`fig5 --areas`
+/// ignores it) and `quick` in a trailing field.
 #[must_use]
 pub fn tuned_manifest_from(
     rows: Vec<Json>,
@@ -197,6 +201,7 @@ pub fn tuned_manifest_from(
     grid: &[u32],
     tolerance: f64,
     set: InputSet,
+    quick: bool,
     task_key: &wp_campaign::TaskKey,
 ) -> Json {
     Json::obj([
@@ -207,5 +212,6 @@ pub fn tuned_manifest_from(
         ("grid", Json::arr(grid.iter().map(|&a| Json::from(a)))),
         ("benchmarks", Json::Arr(rows)),
         ("provenance", Json::obj([("task_key", Json::from(task_key.hex().as_str()))])),
+        ("quick", Json::from(quick)),
     ])
 }

@@ -1,4 +1,5 @@
-//! Stored-baseline blessing and gating.
+//! Stored-baseline blessing and gating, and the repository's one
+//! manifest differ.
 //!
 //! The reproduction's central artefacts — the traced-run report, the
 //! autotuned WP-area manifest, the chaos-campaign resilience manifest,
@@ -21,6 +22,12 @@
 //! gate's fresh side and `wp-campaign run --only baseline` always
 //! agree. The `bless` and `gate` binaries are thin wrappers; the
 //! library entry points keep the whole round trip testable in-process.
+//!
+//! [`Verdict::compare`] over two [`Document`]s is also how `trace_diff`
+//! compares any two captures (a JSON manifest, or a `.jsonl` stream
+//! read as the array of its line records): every comparison of
+//! deterministic output in the repository is exact and names its paths
+//! the same way.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -277,8 +284,9 @@ pub fn bless(dir: &Path, store: &Store, quick: bool) -> Result<Vec<PathBuf>, Tun
 }
 
 /// One JSON path whose value differs between a blessed manifest and
-/// its fresh twin. A side is `None` where the path does not exist
-/// (a key or array element only the other side has).
+/// its fresh twin (for `trace_diff`, its left and its right file). A
+/// side is `None` where the path does not exist (a key or array
+/// element only the other side has).
 #[derive(Clone, PartialEq, Debug)]
 pub struct PathDiff {
     /// The path: object keys joined by `.`, array indices as `[i]`,
@@ -358,6 +366,51 @@ fn diff_at(path: String, blessed: &Json, fresh: &Json, diffs: &mut Vec<PathDiff>
     }
 }
 
+/// A manifest read for comparison: its bytes and the JSON value they
+/// hold.
+#[derive(Debug)]
+pub struct Document {
+    bytes: Vec<u8>,
+    value: Json,
+}
+
+impl Document {
+    /// Parses `bytes`: one JSON document or, when `name` ends in
+    /// `.jsonl`, a stream read as the array of its line records, so
+    /// line `i + 1`'s fields have paths `[i].<field>`.
+    ///
+    /// # Errors
+    ///
+    /// [`TuneError::Json`] naming `name` (and the line, in a stream)
+    /// when the bytes are not UTF-8 or not JSON.
+    pub fn parse(name: &str, bytes: Vec<u8>) -> Result<Document, TuneError> {
+        let invalid = |source: String, message: String| TuneError::Json { source, message };
+        let text =
+            std::str::from_utf8(&bytes).map_err(|e| invalid(name.to_string(), e.to_string()))?;
+        let value = if name.ends_with(".jsonl") {
+            let line = |(i, line): (usize, &str)| {
+                Json::parse(line).map_err(|message| invalid(format!("{name}:{}", i + 1), message))
+            };
+            Json::Arr(text.lines().enumerate().map(line).collect::<Result<_, _>>()?)
+        } else {
+            Json::parse(text).map_err(|message| invalid(name.to_string(), message))?
+        };
+        Ok(Document { bytes, value })
+    }
+
+    /// Reads the file at `path` and parses it as [`Document::parse`]
+    /// does.
+    ///
+    /// # Errors
+    ///
+    /// [`TuneError::Io`] when the file cannot be read, else as
+    /// [`Document::parse`].
+    pub fn read(path: &Path) -> Result<Document, TuneError> {
+        let bytes = std::fs::read(path).map_err(|e| TuneError::io(path, &e))?;
+        Document::parse(&path.display().to_string(), bytes)
+    }
+}
+
 /// How one fresh manifest compares with its blessed file.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Verdict {
@@ -371,26 +424,48 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    fn compare(name: &str, blessed: &[u8], fresh: &[u8]) -> Result<Verdict, TuneError> {
-        if blessed == fresh {
-            return Ok(Verdict::Identical);
+    /// Compares two renderings of one manifest: equal bytes are
+    /// [`Verdict::Identical`]; otherwise every JSON path whose value
+    /// differs, or [`Verdict::Formatting`] when none does.
+    #[must_use]
+    pub fn compare(blessed: &Document, fresh: &Document) -> Verdict {
+        if blessed.bytes == fresh.bytes {
+            return Verdict::Identical;
         }
-        let parse = |bytes: &[u8]| {
-            std::str::from_utf8(bytes).map_err(|e| e.to_string()).and_then(Json::parse)
-        };
-        let blessed = parse(blessed)
-            .map_err(|message| TuneError::Json { source: name.to_string(), message })?;
-        let fresh =
-            parse(fresh).map_err(|e| pipeline_error(name, &format!("fresh payload: {e}")))?;
-        let paths = json_diff(&blessed, &fresh);
-        Ok(if paths.is_empty() { Verdict::Formatting } else { Verdict::Differs(paths) })
+        let paths = json_diff(&blessed.value, &fresh.value);
+        if paths.is_empty() {
+            Verdict::Formatting
+        } else {
+            Verdict::Differs(paths)
+        }
     }
 
-    fn label(&self) -> &'static str {
-        match self {
+    /// Adds the verdict's `verdict` label and, when values differ, its
+    /// `paths` (each with both values) to a report object.
+    pub fn push_json(&self, json: &mut Json) {
+        let label = match self {
             Verdict::Identical => "identical",
             Verdict::Formatting => "formatting",
             Verdict::Differs(_) => "differs",
+        };
+        json.push("verdict", Json::from(label));
+        if let Verdict::Differs(paths) = self {
+            json.push("paths", Json::arr(paths.iter().map(PathDiff::json)));
+        }
+    }
+}
+
+impl std::fmt::Display for Verdict {
+    /// `identical`, `DIFFERS   formatting only`, or `DIFFERS   N
+    /// path(s)` followed by one indented line per path.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Verdict::Identical => write!(f, "identical"),
+            Verdict::Formatting => write!(f, "DIFFERS   formatting only"),
+            Verdict::Differs(paths) => {
+                write!(f, "DIFFERS   {} path(s)", paths.len())?;
+                paths.iter().try_for_each(|path| write!(f, "\n  {path}"))
+            }
         }
     }
 }
@@ -440,13 +515,8 @@ impl GateReport {
             (
                 "manifests",
                 Json::arr(self.manifests.iter().map(|(name, verdict)| {
-                    let mut json = Json::obj([
-                        ("file", Json::from(name.as_str())),
-                        ("verdict", Json::from(verdict.label())),
-                    ]);
-                    if let Verdict::Differs(paths) = verdict {
-                        json.push("paths", Json::arr(paths.iter().map(PathDiff::json)));
-                    }
+                    let mut json = Json::obj([("file", Json::from(name.as_str()))]);
+                    verdict.push_json(&mut json);
                     json
                 })),
             ),
@@ -465,11 +535,11 @@ impl GateReport {
 ///
 /// # Errors
 ///
-/// [`TuneError::Io`] when a blessed file is missing or unreadable
-/// (checked before any pipeline runs), [`TuneError::Json`] when one
-/// that differs is not JSON, [`TuneError::Measure`] naming every failed
-/// pipeline node. Differences are *not* errors — they are reported
-/// through [`GateReport::manifests`].
+/// [`TuneError::Io`] when a blessed file is missing or unreadable,
+/// [`TuneError::Json`] when one is not JSON (both checked before any
+/// pipeline runs), [`TuneError::Measure`] naming every failed pipeline
+/// node. Differences are *not* errors — they are reported through
+/// [`GateReport::manifests`].
 pub fn gate(
     blessed_dir: &Path,
     store: &Store,
@@ -478,18 +548,16 @@ pub fn gate(
 ) -> Result<GateReport, TuneError> {
     let blessed = Group::BASELINE
         .iter()
-        .map(|&group| {
-            let path = blessed_dir.join(baseline_file(group));
-            std::fs::read(&path).map_err(|e| TuneError::io(&path, &e))
-        })
-        .collect::<Result<Vec<Vec<u8>>, TuneError>>()?;
+        .map(|&group| Document::read(&blessed_dir.join(baseline_file(group))))
+        .collect::<Result<Vec<Document>, TuneError>>()?;
     let run = run_baselines(store, quick, obs)?;
     let (store_hits, store_misses) = (run.report.hits(), run.report.misses());
     let mut manifests = Vec::with_capacity(Group::BASELINE.len());
     for (group, blessed) in Group::BASELINE.into_iter().zip(blessed) {
         let name = baseline_file(group);
-        let verdict = Verdict::compare(&name, &blessed, payload(&run, group)?)?;
-        manifests.push((name, verdict));
+        let fresh = Document::parse(&name, payload(&run, group)?.to_vec())
+            .map_err(|e| pipeline_error(&name, &format!("fresh payload: {e}")))?;
+        manifests.push((name, Verdict::compare(&blessed, &fresh)));
     }
     Ok(GateReport { blessed_dir: blessed_dir.to_path_buf(), manifests, store_hits, store_misses })
 }
@@ -552,14 +620,13 @@ mod tests {
 
     #[test]
     fn formatting_only_difference_has_no_paths() {
-        let pretty = doc(r#"{"a":1.5,"b":[1,2]}"#).to_pretty();
-        let respelled = "{\"b\": [1, 2],\n \"a\": 1.50}";
-        let verdict = Verdict::compare("m.json", pretty.as_bytes(), respelled.as_bytes());
-        assert_eq!(verdict, Ok(Verdict::Formatting));
-        let same = Verdict::compare("m.json", pretty.as_bytes(), pretty.as_bytes());
-        assert_eq!(same, Ok(Verdict::Identical));
-        // A blessed file that is not JSON is an unreadable baseline.
-        let broken = Verdict::compare("m.json", b"{oops", pretty.as_bytes());
+        let parse = |text: &str| Document::parse("m.json", text.as_bytes().to_vec());
+        let pretty = parse(&doc(r#"{"a":1.5,"b":[1,2]}"#).to_pretty()).expect("parses");
+        let respelled = parse("{\"b\": [1, 2],\n \"a\": 1.50}").expect("parses");
+        assert_eq!(Verdict::compare(&pretty, &respelled), Verdict::Formatting);
+        assert_eq!(Verdict::compare(&pretty, &pretty), Verdict::Identical);
+        // Text that is not JSON is unreadable, whatever it is compared with.
+        let broken = parse("{oops");
         assert!(matches!(broken, Err(TuneError::Json { .. })), "{broken:?}");
     }
 }

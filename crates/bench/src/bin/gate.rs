@@ -26,7 +26,7 @@
 
 use std::path::PathBuf;
 
-use wp_bench::baseline::{gate, with_scratch_store, Verdict, DEFAULT_BASELINE_DIR};
+use wp_bench::baseline::{gate, with_scratch_store, DEFAULT_BASELINE_DIR};
 use wp_bench::write_manifest;
 use wp_campaign::Store;
 use wp_tune::TuneError;
@@ -59,16 +59,7 @@ fn run() -> Result<i32, TuneError> {
     };
 
     for (name, verdict) in &report.manifests {
-        match verdict {
-            Verdict::Identical => println!("{name:<28} identical"),
-            Verdict::Formatting => println!("{name:<28} DIFFERS   formatting only"),
-            Verdict::Differs(paths) => {
-                println!("{name:<28} DIFFERS   {} path(s)", paths.len());
-                for path in paths {
-                    println!("  {path}");
-                }
-            }
-        }
+        println!("{name:<28} {verdict}");
     }
     println!(
         "{} manifest(s), {} differing from the blessed bytes",

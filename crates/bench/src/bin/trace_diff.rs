@@ -1,82 +1,56 @@
-//! `trace_diff` — cross-run trace regression gating.
+//! `trace_diff` — exact comparison of two captures.
 //!
-//! Joins two telemetry captures (`BENCH_trace_report.json` manifests
-//! or raw `TRACE_*.jsonl` streams) run-by-run and chain-by-chain and
-//! flags fetch/energy shifts that clear *both* a relative gate and an
-//! absolute floor (see `wp_tune::diff`). Writes the comparison to
-//! `BENCH_trace_diff.json`.
+//! Reads two files — a JSON manifest such as `BENCH_trace_report.json`,
+//! or a `TRACE_*.jsonl` stream read as the array of its line records —
+//! and compares them with the differ `gate` uses
+//! (`wp_bench::baseline::Verdict`). The simulator is deterministic, so
+//! nothing is forgiven: identical bytes pass, and otherwise every JSON
+//! path whose value differs is printed with both values (`<left>` as
+//! the blessed side, `<right>` as the fresh one), or the change is
+//! reported as formatting only. The verdict is written to
+//! `BENCH_trace_diff.json` (`trace_diff/v2`) in the shape of a
+//! `BENCH_gate.json` manifest entry.
 //!
-//! Usage: `trace_diff <left> <right> [--rel T] [--abs-fetches N]
-//! [--abs-energy N]`
+//! Usage: `trace_diff <left> <right>`
 //!
-//! Exit codes: `0` clean, `1` regression detected, `2` usage or I/O
-//! error — so CI can gate on the diff while still distinguishing a
-//! broken invocation from a real shift.
+//! Exit codes: `0` byte-identical, `1` any difference (formatting
+//! included), `2` usage error or an unreadable or unparseable file.
 
 use std::path::Path;
 
-use wp_bench::write_manifest;
-use wp_tune::{parse_threshold, DiffThresholds, TraceDiff, TraceSet, TuneError};
+use wp_bench::baseline::{Document, Verdict};
+use wp_bench::{write_manifest, Json};
+use wp_tune::TuneError;
 
 fn usage() -> ! {
-    eprintln!("usage: trace_diff <left> <right> [--rel T] [--abs-fetches N] [--abs-energy N]");
+    eprintln!("usage: trace_diff <left> <right>");
     std::process::exit(2);
 }
 
 fn run() -> Result<i32, TuneError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths: Vec<&str> = Vec::new();
-    let mut thresholds = DiffThresholds::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--rel" => thresholds.rel = parse_threshold(iter.next().unwrap_or_else(|| usage()))?,
-            "--abs-fetches" => {
-                thresholds.abs_fetches = parse_threshold(iter.next().unwrap_or_else(|| usage()))?;
-            }
-            "--abs-energy" => {
-                thresholds.abs_energy = parse_threshold(iter.next().unwrap_or_else(|| usage()))?;
-            }
-            path if !path.starts_with('-') => paths.push(path),
-            _ => usage(),
-        }
+    let [left, right] = args.as_slice() else { usage() };
+    if left.starts_with('-') || right.starts_with('-') {
+        usage();
     }
-    let [left_path, right_path] = paths.as_slice() else { usage() };
+    let verdict =
+        Verdict::compare(&Document::read(Path::new(left))?, &Document::read(Path::new(right))?);
+    println!("{left} vs {right}: {verdict}");
 
-    let left = TraceSet::load(Path::new(left_path))?;
-    let right = TraceSet::load(Path::new(right_path))?;
-    let diff = TraceDiff::compute(&left, &right, thresholds);
-
-    for run in &diff.runs {
-        let flags = run.regressions();
-        let verdict = if flags == 0 { "ok" } else { "REGRESSED" };
-        match (run.fetch, run.energy) {
-            (Some(fetch), Some(energy)) => println!(
-                "{:<32} {verdict:<9} fetches {:+.3}% energy {:+.3}% ({} flag(s))",
-                run.key,
-                (fetch.right - fetch.left) / fetch.left.max(1.0) * 100.0,
-                (energy.right - energy.left) / energy.left.max(1.0) * 100.0,
-                flags,
-            ),
-            _ => println!("{:<32} {verdict:<9} present only in {:?}", run.key, run.presence),
-        }
-    }
-    println!(
-        "{} run(s), {} regression(s) (rel > {}, abs fetches > {}, abs energy > {} {})",
-        diff.runs.len(),
-        diff.regressions(),
-        thresholds.rel,
-        thresholds.abs_fetches,
-        thresholds.abs_energy,
-        diff.energy_unit,
-    );
-
-    let path = write_manifest("trace_diff", &diff.json()).map_err(|e| TuneError::Io {
+    let identical = verdict == Verdict::Identical;
+    let mut report = Json::obj([
+        ("schema", Json::from("trace_diff/v2")),
+        ("left", Json::from(left.as_str())),
+        ("right", Json::from(right.as_str())),
+    ]);
+    verdict.push_json(&mut report);
+    report.push("ok", Json::from(identical));
+    let path = write_manifest("trace_diff", &report).map_err(|e| TuneError::Io {
         path: "BENCH_trace_diff.json".to_string(),
         message: e.to_string(),
     })?;
     eprintln!("manifest: {}", path.display());
-    Ok(diff.exit_code())
+    Ok(i32::from(!identical))
 }
 
 fn main() {

@@ -9,22 +9,26 @@
 //! only as many grid points as the prediction error requires.
 //!
 //! Writes the deterministic `BENCH_tuned_areas.json` manifest — the
-//! input to `fig5 --areas` validation and the stored-baseline gate.
+//! input to `fig5 --areas` validation — through the manifest function
+//! the campaign's tuned-areas node uses.
 //!
 //! Usage: `tune [--quick | --all] [--tolerance T] [--areas CSV]`
 //!
 //! The default tunes the crc/sha/bitcount set on the large inputs;
-//! `--all` extends to the whole 23-benchmark suite (what `bless`
-//! freezes into `baselines/`); `--quick` shrinks to one benchmark on
-//! the small input set for CI; `--tolerance` sets the knee criterion
-//! (default 0.02: within 2% of the best measured energy); `--areas`
-//! overrides the candidate grid.
+//! `--all` extends to the whole 23-benchmark suite and `--quick`
+//! shrinks to one benchmark on the small input set. Those two are the
+//! campaign's shapes: without `--tolerance` or `--areas` they write
+//! exactly the bytes `bless` freezes into `baselines/` (`--all`) and
+//! `wp-campaign run --only tune --quick` writes (`--quick`).
+//! `--tolerance` sets the knee criterion (default 0.02: within 2% of
+//! the best measured energy); `--areas` overrides the candidate grid.
 //!
 //! Exit codes: `0` tuned, `1` pipeline/tuning failure, `2` usage
-//! error — the same convention as `trace_diff` and `gate`, so CI can
-//! tell a broken invocation from a genuinely failing run.
+//! error — the same convention as `gate`, so CI can tell a broken
+//! invocation from a genuinely failing run.
 
 use wp_bench::autotune::tune_suite;
+use wp_bench::baseline::tuned_benchmarks;
 use wp_bench::{write_manifest, FIGURE5_AREAS};
 use wp_mem::CacheGeometry;
 use wp_tune::{parse_area_list, parse_threshold, TuneError, DEFAULT_TOLERANCE};
@@ -55,16 +59,14 @@ fn run() -> Result<(), TuneError> {
         usage();
     }
 
-    let (benchmarks, set): (Vec<Benchmark>, InputSet) = if quick {
-        (vec![Benchmark::Crc], InputSet::Small)
-    } else if all {
-        (Benchmark::ALL.to_vec(), InputSet::Large)
+    let (benchmarks, set) = if quick || all {
+        tuned_benchmarks(quick)
     } else {
         (vec![Benchmark::Crc, Benchmark::Sha, Benchmark::Bitcount], InputSet::Large)
     };
     let icache = CacheGeometry::xscale_icache();
 
-    let (tunings, manifest) = tune_suite(&benchmarks, icache, &grid, tolerance, set)?;
+    let (tunings, manifest) = tune_suite(&benchmarks, icache, &grid, tolerance, set, quick)?;
     for t in &tunings {
         println!(
             "{:<10} chosen {:>5} B (predicted knee {:>5} B), {:.3e} pJ measured, \

@@ -839,15 +839,15 @@ fn plan_tune(dag: &mut Dag, config: &CampaignConfig, engine: &Arc<Engine>) -> Ta
     );
     add_node(dag, "tuned_areas".to_string(), &keys::tuned_manifest_parts(), &dep_ids, move |ctx| {
         let rows = parse_dep_payloads(ctx)?;
-        let mut manifest = crate::autotune::tuned_manifest_from(
+        let manifest = crate::autotune::tuned_manifest_from(
             rows,
             icache,
             &FIGURE5_AREAS,
             DEFAULT_TOLERANCE,
             set,
+            quick,
             &key,
         );
-        manifest.push("quick", Json::from(quick));
         Ok(manifest.to_pretty().into_bytes())
     })
 }

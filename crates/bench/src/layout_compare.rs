@@ -17,10 +17,10 @@
 //! * measured I-cache energy under `way-placement/1KB` and under way
 //!   memoization.
 //!
-//! The manifest (`layout_compare/v1`) is TraceSet-joinable — rows are
-//! keyed `<bench>/<layout>@<scheme>`, and the knee rides along as a
-//! `hot_chains` row labelled `knee` so the gate flags knee drift — and
-//! is blessed/gated as the sixth baseline manifest.
+//! The manifest (`layout_compare/v1`) keys its rows
+//! `<bench>/<layout>@<scheme>` and carries the knee as a `hot_chains`
+//! row labelled `knee`; it is blessed and gated byte for byte with the
+//! other baseline manifests, so any drift is named by its JSON path.
 
 use wp_core::{measure_traced, measure_with, MeasureOptions, Scheme};
 use wp_linker::Layout;
@@ -185,7 +185,7 @@ pub(crate) fn layout_run_payload(
 ///
 /// # Errors
 ///
-/// [`TuneError::Malformed`] when a payload is not an array.
+/// [`TuneError::Measure`] when a payload is not an array.
 pub fn layout_manifest_from_runs(
     quick: bool,
     per_benchmark: Vec<Json>,

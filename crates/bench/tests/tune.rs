@@ -1,28 +1,45 @@
 //! Integration tests for the autotuning pipeline: determinism of the
-//! tuned-areas manifest, agreement between the tuner's choice and the
-//! sweep-optimal area, and schema round-tripping into the validator.
+//! tuned-areas manifest and its byte identity with the campaign's,
+//! agreement between the tuner's choice and the sweep-optimal area,
+//! and schema round-tripping into the validator.
 
-use wp_bench::autotune::tune_suite;
+use wp_bench::autotune::{tune_suite, BenchmarkTuning};
+use wp_bench::baseline::{tuned_benchmarks, with_scratch_store};
+use wp_bench::campaign::{self, CampaignConfig, Group};
 use wp_bench::engine::Engine;
-use wp_bench::FIGURE5_AREAS;
+use wp_bench::{Json, FIGURE5_AREAS};
 use wp_core::wp_mem::CacheGeometry;
 use wp_core::wp_workloads::{Benchmark, InputSet};
 use wp_core::Scheme;
 use wp_tune::{knee_index, TunedManifest, DEFAULT_TOLERANCE};
 
+/// What `tune --quick` runs: the campaign's quick tuned-areas shape.
+fn tune_quick() -> (Vec<BenchmarkTuning>, Json) {
+    let (benchmarks, set) = tuned_benchmarks(true);
+    let geom = CacheGeometry::xscale_icache();
+    tune_suite(&benchmarks, geom, &FIGURE5_AREAS, DEFAULT_TOLERANCE, set, true).expect("tune_suite")
+}
+
 #[test]
 fn tuned_manifests_are_byte_identical() {
-    let geom = CacheGeometry::xscale_icache();
-    let run = || {
-        let (_, manifest) =
-            tune_suite(&[Benchmark::Crc], geom, &FIGURE5_AREAS, DEFAULT_TOLERANCE, InputSet::Small)
-                .expect("tune_suite");
-        manifest.to_pretty()
-    };
-    let first = run();
-    let second = run();
+    let first = tune_quick().1.to_pretty();
+    let second = tune_quick().1.to_pretty();
     assert_eq!(first, second, "two independent tune runs must render identical manifests");
     assert!(first.contains("tuned_areas/v1"));
+}
+
+#[test]
+fn quick_tuned_manifest_is_the_campaign_payload() {
+    let (_, manifest) = tune_quick();
+    let config = CampaignConfig::new(true, vec![Group::Tune]);
+    let run = with_scratch_store("tune-test", |store| campaign::run(&config, store, None));
+    assert!(run.report.ok(), "{:?}", run.report.failures());
+    let payload = run.manifest(Group::Tune).expect("tuned-areas payload");
+    assert_eq!(
+        String::from_utf8_lossy(payload),
+        manifest.to_pretty(),
+        "tune --quick and the campaign's quick tune must write the same bytes"
+    );
 }
 
 #[test]
@@ -36,6 +53,7 @@ fn tuned_area_is_within_one_grid_step_of_sweep_optimal() {
         &FIGURE5_AREAS,
         DEFAULT_TOLERANCE,
         set,
+        false,
     )
     .expect("tune_suite");
     for tuning in &tunings {
@@ -136,10 +154,7 @@ fn fig5_rejects_tuned_manifest_with_mismatched_grid() {
 
 #[test]
 fn emitted_manifest_round_trips_into_the_validator() {
-    let geom = CacheGeometry::xscale_icache();
-    let (tunings, manifest) =
-        tune_suite(&[Benchmark::Crc], geom, &FIGURE5_AREAS, DEFAULT_TOLERANCE, InputSet::Small)
-            .expect("tune_suite");
+    let (tunings, manifest) = tune_quick();
     let parsed = TunedManifest::parse(&manifest.to_pretty(), "in-memory").expect("parses");
     assert_eq!(parsed.tolerance, DEFAULT_TOLERANCE);
     assert_eq!(parsed.area_for("crc"), Some(tunings[0].chosen_area_bytes));

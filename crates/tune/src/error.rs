@@ -1,12 +1,11 @@
 //! The subsystem's typed error: every user-supplied input (manifest
-//! files, JSONL streams, area lists, thresholds) fails through
-//! [`TuneError`] instead of a panic, per the workspace's
-//! `clippy::unwrap_used` discipline.
+//! files, area lists, thresholds) fails through [`TuneError`] instead
+//! of a panic, per the workspace's `clippy::unwrap_used` discipline.
 
 use std::error::Error;
 use std::fmt;
 
-/// Errors raised by the autotuner and the trace differ.
+/// Errors raised by the autotuner and the manifest pipelines built on it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TuneError {
     /// The candidate area grid is empty.
@@ -32,7 +31,7 @@ pub enum TuneError {
         /// The underlying OS error.
         message: String,
     },
-    /// A manifest or JSONL line is not valid JSON.
+    /// A manifest (or one line of a JSONL stream) is not valid JSON.
     Json {
         /// Where the text came from.
         source: String,
@@ -46,16 +45,6 @@ pub enum TuneError {
         source: String,
         /// The field that was expected.
         field: String,
-    },
-    /// A record parsed but is structurally malformed beyond a single
-    /// missing field — e.g. a chain record carrying neither a label
-    /// nor a chain id, which would otherwise silently alias with any
-    /// other id-less chain under the join's dedup suffixes.
-    Malformed {
-        /// Where the record came from.
-        source: String,
-        /// What is wrong with it.
-        message: String,
     },
     /// A measurement callback failed during the refinement search.
     Measure {
@@ -78,9 +67,6 @@ impl fmt::Display for TuneError {
             TuneError::MissingField { source, field } => {
                 write!(f, "{source}: missing field '{field}'")
             }
-            TuneError::Malformed { source, message } => {
-                write!(f, "{source}: malformed record: {message}")
-            }
             TuneError::Measure { message } => write!(f, "measurement failed: {message}"),
         }
     }
@@ -97,7 +83,7 @@ impl TuneError {
 
     /// Whether the error is a *usage* mistake (a malformed argument
     /// the caller typed) rather than a pipeline failure. The binaries
-    /// share one exit-code convention: `1` for pipeline/tuning/diff
+    /// share one exit-code convention: `1` for pipeline/tuning
     /// failures, `2` for usage errors, so CI can tell a broken
     /// invocation from a genuinely failing run.
     #[must_use]
@@ -133,10 +119,6 @@ mod tests {
         assert!(TuneError::MissingField { source: "m.json".into(), field: "runs".into() }
             .to_string()
             .contains("runs"));
-        let malformed =
-            TuneError::Malformed { source: "m.json:3".into(), message: "no chain id".into() };
-        assert!(malformed.to_string().contains("m.json:3"));
-        assert!(malformed.to_string().contains("no chain id"));
     }
 
     #[test]
@@ -154,7 +136,6 @@ mod tests {
             TuneError::Io { path: "/nope".into(), message: "denied".into() },
             TuneError::Json { source: "m.json".into(), message: "bad".into() },
             TuneError::MissingField { source: "m.json".into(), field: "runs".into() },
-            TuneError::Malformed { source: "m.json".into(), message: "id-less chain".into() },
             TuneError::Measure { message: "sim exploded".into() },
         ] {
             assert!(!pipeline.is_usage(), "{pipeline}");

@@ -1,24 +1,17 @@
-//! # wp-tune — the decision layer over the telemetry stack
+//! # wp-tune — attribution-guided way-placement area autotuning
 //!
 //! The paper picks the way-placement area by sweeping a fixed grid and
 //! eyeballing the figure-5 knee. This crate closes the loop
-//! analytically, with two engines:
-//!
-//! * **Autotuning** ([`knee`]) — from one traced full-coverage run
-//!   (per-chain attribution joined against the linker's emission-order
-//!   layout map), [`predict`] models the I-cache energy of *every*
-//!   candidate area — shrinking the area un-covers a suffix of the
-//!   hottest-first chain list, and uncovered fetches pay the full CAM
-//!   width — then [`refine`] spot-checks the predicted knee with a
-//!   bounded measured search. The shared [`knee_index`] criterion
-//!   (smallest area within tolerance of the best energy) is also what
-//!   `fig5 --areas` validates against.
-//! * **Regression diffing** ([`diff`]) — [`TraceSet`] parses
-//!   `BENCH_trace_report.json` manifests or raw `TRACE_*.jsonl`
-//!   streams, [`TraceDiff`] joins two captures run-by-run and
-//!   chain-by-chain and flags fetch/energy shifts past configurable
-//!   relative+absolute gates, with wp-energy's idle-run ratio
-//!   semantics so degenerate runs diff clean.
+//! analytically ([`knee`]): from one traced full-coverage run
+//! (per-chain attribution joined against the linker's emission-order
+//! layout map), [`predict`] models the I-cache energy of *every*
+//! candidate area — shrinking the area un-covers a suffix of the
+//! hottest-first chain list, and uncovered fetches pay the full CAM
+//! width — then [`refine`] spot-checks the predicted knee with a
+//! bounded measured search. The shared [`knee_index`] criterion
+//! (smallest area within tolerance of the best energy) is also what
+//! `fig5 --areas` validates against, reading the tuner's output
+//! through [`TunedManifest`].
 //!
 //! Everything user-facing fails through the typed [`TuneError`]; the
 //! crate adds no external dependencies and, like the rest of the
@@ -28,15 +21,10 @@
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod diff;
 mod error;
 pub mod knee;
 pub mod manifest;
 
-pub use diff::{
-    ChainDiff, ChainRow, DiffThresholds, MetricShift, Presence, RunDiff, RunTrace, TraceDiff,
-    TraceSet, DEFAULT_ABS_ENERGY, DEFAULT_ABS_FETCHES, DEFAULT_REL_TOL,
-};
 pub use error::TuneError;
 pub use knee::{
     knee_index, predict, refine, AreaPrediction, Prediction, RefineStep, Refinement,

@@ -199,11 +199,14 @@ if [[ "$quick" -eq 0 ]]; then
         exit 1
     fi
 
-    echo "== trace_diff smoke (self-diff exit 0, perturbed exit 1) =="
+    echo "== trace_diff smoke (self-diffs exit 0, perturbed exit 1) =="
     WP_BENCH_DIR="$smoke_dir" cargo run --release -q --bin trace_diff -- \
         "$smoke_dir/BENCH_trace_report.json" "$smoke_dir/BENCH_trace_report.json"
+    WP_BENCH_DIR="$smoke_dir" cargo run --release -q --bin trace_diff -- \
+        "$smoke_dir/TRACE_crc_way-placement-32KB.jsonl" \
+        "$smoke_dir/TRACE_crc_way-placement-32KB.jsonl"
     # Perturb the first icache_pj value by an order of magnitude; the
-    # differ must flag it and gate with exit code 1.
+    # exact differ must exit with code 1 and name the JSON path.
     sed '0,/"icache_pj": /s/"icache_pj": /"icache_pj": 9/' \
         "$smoke_dir/BENCH_trace_report.json" >"$smoke_dir/BENCH_trace_report_perturbed.json"
     diff_code=0
@@ -214,8 +217,8 @@ if [[ "$quick" -eq 0 ]]; then
         echo "trace_diff on a perturbed manifest: expected exit 1, got $diff_code" >&2
         exit 1
     fi
-    if [[ ! -s "$smoke_dir/BENCH_trace_diff.json" ]]; then
-        echo "missing manifest: BENCH_trace_diff.json" >&2
+    if ! grep -qF '"path": "runs[0].icache_pj"' "$smoke_dir/BENCH_trace_diff.json"; then
+        echo "trace_diff report does not name runs[0].icache_pj" >&2
         exit 1
     fi
 
