@@ -20,14 +20,16 @@
 //!
 //! Exit codes: `0` every manifest identical, `1` a difference or a
 //! pipeline failure, `2` usage error or a missing or unreadable
-//! baseline (an invocation problem, not drift).
+//! baseline (an invocation problem, not drift). A reader that closes
+//! stdout early cuts the printed report short but changes neither
+//! `BENCH_gate.json` nor the code.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use std::path::PathBuf;
 
 use wp_bench::baseline::{gate, with_scratch_store, DEFAULT_BASELINE_DIR};
-use wp_bench::write_manifest;
+use wp_bench::{print_stdout, write_manifest};
 use wp_campaign::Store;
 use wp_tune::TuneError;
 
@@ -58,14 +60,16 @@ fn run() -> Result<i32, TuneError> {
         with_scratch_store("gate", |store| gate(&dir, store, quick, None))?
     };
 
+    let mut text = String::new();
     for (name, verdict) in &report.manifests {
-        println!("{name:<28} {verdict}");
+        text += &format!("{name:<28} {verdict}\n");
     }
-    println!(
-        "{} manifest(s), {} differing from the blessed bytes",
+    text += &format!(
+        "{} manifest(s), {} differing from the blessed bytes\n",
         report.manifests.len(),
         report.differing()
     );
+    print_stdout(&text);
     eprintln!("gate: campaign {} hit(s), {} miss(es)", report.store_hits, report.store_misses);
 
     let path = write_manifest("gate", &report.json()).map_err(|e| TuneError::Io {

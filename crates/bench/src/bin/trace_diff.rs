@@ -14,12 +14,14 @@
 //! Usage: `trace_diff <left> <right>`
 //!
 //! Exit codes: `0` byte-identical, `1` any difference (formatting
-//! included), `2` usage error or an unreadable or unparseable file.
+//! included), `2` usage error or an unreadable or unparseable file. A
+//! reader that closes stdout early (`trace_diff a b | head`) cuts the
+//! printed paths short but changes neither the report nor the code.
 
 use std::path::Path;
 
 use wp_bench::baseline::{Document, Verdict};
-use wp_bench::{write_manifest, Json};
+use wp_bench::{print_stdout, write_manifest, Json};
 use wp_tune::TuneError;
 
 fn usage() -> ! {
@@ -35,7 +37,7 @@ fn run() -> Result<i32, TuneError> {
     }
     let verdict =
         Verdict::compare(&Document::read(Path::new(left))?, &Document::read(Path::new(right))?);
-    println!("{left} vs {right}: {verdict}");
+    print_stdout(&format!("{left} vs {right}: {verdict}\n"));
 
     let identical = verdict == Verdict::Identical;
     let mut report = Json::obj([

@@ -189,6 +189,21 @@ pub fn write_manifest(fig: &str, manifest: &Json) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
+/// Writes `text` to standard output through one locked handle. A
+/// reader that closes early (`| head`) only cuts the text short: the
+/// `BrokenPipe` error is dropped, where `println!` would panic and turn
+/// the caller's exit code into 101. Any other write error is reported
+/// on standard error.
+pub fn print_stdout(text: &str) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(error) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if error.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("stdout: {error}");
+        }
+    }
+}
+
 /// End-of-binary bookkeeping shared by the figure binaries: writes the
 /// `BENCH_<fig>.json` manifest, prints the engine stats line and every
 /// structured failure to stderr, and returns the process exit code

@@ -118,7 +118,8 @@ pub struct ObsReport {
     pub chaos: ChaosOutcome,
     /// Every reconciliation check.
     pub checks: Vec<Check>,
-    /// Per-worker busy time of the second engine, for the wall section.
+    /// Per-worker busy time of the second engine (a wall-clock reading
+    /// `obs_report` prints).
     pub busy_ns: Vec<u64>,
 }
 

@@ -6,7 +6,10 @@
 //! is measured as the lanes of one [`measure_lanes`] call:
 //!
 //! * **exactness** — every lane's `RunResult` (every field) and priced
-//!   `EnergyReport` equal a standalone [`measure_with`] of that lane;
+//!   `EnergyReport` equal a standalone run of that lane on the
+//!   per-fetch path: lanes leave same-line fetches of a clean machine
+//!   out of the fetch core, and a sink that sees every fetch sends each
+//!   one through it;
 //! * **isolation** — a lane's result is unchanged when its group is
 //!   reversed or cut to a subset, so no state leaks between lanes;
 //! * **armed lanes** — with faults, detection and the chaos campaign's
@@ -20,10 +23,10 @@ use wp_bench::engine::Engine;
 use wp_bench::figure6_geometries;
 use wp_core::wp_linker::Layout;
 use wp_core::wp_mem::{CacheGeometry, FaultConfig, MemoryConfig};
-use wp_core::wp_sim::{simulate_lanes, SimConfig, SimError};
+use wp_core::wp_sim::{simulate_lanes, SimConfig, SimError, TraceSink};
 use wp_core::wp_workloads::{Benchmark, InputSet};
 use wp_core::{
-    measure_lanes, measure_with, CoreError, FaultSpec, MeasureOptions, Measurement, Scheme,
+    measure_lanes, measure_traced, CoreError, FaultSpec, MeasureOptions, Measurement, Scheme,
     Workbench,
 };
 
@@ -69,6 +72,27 @@ fn group(
     measure_lanes(workbench, lanes, options).expect("lane group").0
 }
 
+/// A sink that sees every fetch and keeps none.
+struct PerFetch;
+
+impl TraceSink for PerFetch {
+    fn enabled(&self) -> bool {
+        true
+    }
+}
+
+/// `scheme` on `geometry` alone, every fetch through the fetch core.
+fn standalone(
+    workbench: &Workbench,
+    geometry: CacheGeometry,
+    scheme: Scheme,
+    options: MeasureOptions,
+) -> Measurement {
+    measure_traced(workbench, geometry, scheme, options, &mut PerFetch)
+        .expect("standalone")
+        .0
+}
+
 fn assert_same(tag: &str, lane: &Measurement, alone: &Measurement) {
     assert_eq!(lane.scheme, alone.scheme, "{tag}");
     assert_eq!(lane.icache, alone.icache, "{tag}");
@@ -88,9 +112,7 @@ fn check_layout(layout: Layout) {
         assert_eq!(measured.len(), lanes.len());
         for (&(geometry, scheme), lane) in lanes.iter().zip(&measured) {
             let tag = format!("{benchmark} {geometry} {}", scheme.label());
-            let (alone, _) =
-                measure_with(&workbench, geometry, scheme, options).expect("standalone");
-            assert_same(&tag, lane, &alone);
+            assert_same(&tag, lane, &standalone(&workbench, geometry, scheme, options));
         }
 
         let reversed: Vec<_> = lanes.iter().rev().copied().collect();
@@ -145,9 +167,7 @@ fn armed_lanes_equal_standalone_runs() {
                     lanes.iter().zip(&group(&workbench, &lanes, options))
                 {
                     let tag = format!("{benchmark} {} at {rate} ppm", scheme.label());
-                    let (alone, _) =
-                        measure_with(&workbench, geometry, scheme, options).expect("standalone");
-                    assert_same(&tag, lane, &alone);
+                    assert_same(&tag, lane, &standalone(&workbench, geometry, scheme, options));
                     faulted += usize::from(lane.run.faults.total() > 0);
                     demoted += usize::from(lane.run.demotions > 0);
                 }
@@ -170,11 +190,11 @@ fn mismatched_lane_groups_are_typed_errors() {
         Err(CoreError::Sim(SimError::LaneMismatch { lane: 1 })) => {}
         other => panic!("mixed layouts must be a typed error, got {other:?}"),
     }
-    // An explicit layout runs both lanes under it, as `measure_with`
+    // An explicit layout runs both lanes under it, as a standalone run
     // with that layout would.
     let forced = options.with_layout(Layout::Natural);
     let measured = measure_lanes(&workbench, &mixed, forced).expect("forced layout").0;
-    let (alone, _) = measure_with(&workbench, mixed[1].0, mixed[1].1, forced).expect("standalone");
+    let alone = standalone(&workbench, mixed[1].0, mixed[1].1, forced);
     assert_same("forced layout", &measured[1], &alone);
     assert!(measure_lanes(&workbench, &[], options).expect("empty").0.is_empty());
 

@@ -112,6 +112,34 @@ fn jsonl_streams_compare_record_by_record() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A reader that has gone away cuts the printed paths short, but the
+/// verdict still reaches the report and the exit code: no panic, no
+/// 101. The report is larger than a pipe buffer, so no write can slip
+/// into the pipe before its read end is found closed.
+#[test]
+fn closed_stdout_keeps_the_verdict() {
+    let dir = scratch("closed-stdout");
+    let values = |v: u32| Json::arr((0..5000).map(|_| Json::from(v)));
+    let left = write(&dir.join("left.json"), &Json::obj([("values", values(0))]).to_pretty());
+    let right = write(&dir.join("right.json"), &Json::obj([("values", values(1))]).to_pretty());
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_diff"))
+        .args([&left, &right])
+        .env("WP_BENCH_DIR", &dir)
+        .stdout(writer)
+        .output()
+        .expect("run trace_diff");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let report = std::fs::read_to_string(dir.join("BENCH_trace_diff.json")).expect("report");
+    let report = Json::parse(&report).expect("BENCH_trace_diff.json parses");
+    assert_eq!(verdict(&report), "differs");
+    assert_eq!(report.get("paths").and_then(Json::as_array).map(<[Json]>::len), Some(5000));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn usage_errors_and_unreadable_files_exit_2() {
     let dir = scratch("usage");

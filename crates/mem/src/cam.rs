@@ -229,7 +229,13 @@ impl CamArray {
 
     /// Records a use of (set, way) for LRU bookkeeping.
     pub fn touch(&mut self, addr: u32, way: u32) {
-        self.tick += 1;
+        self.touch_n(addr, way, 1);
+    }
+
+    /// Records `n` consecutive uses of (set, way): the state `n` calls
+    /// to [`touch`](CamArray::touch) leave behind.
+    pub(crate) fn touch_n(&mut self, addr: u32, way: u32, n: u64) {
+        self.tick += n;
         let set = self.shifts.set_of(addr);
         let slot = self.slot(set, way);
         self.last_use[slot] = self.tick;

@@ -255,6 +255,40 @@ impl FetchSide {
         (FetchSide::compose_timing(fetch, tlb), event)
     }
 
+    /// The line (its base address) from which
+    /// [`fetch_repeats`](FetchSide::fetch_repeats) can account further
+    /// fetches without the fetch core: the previous fetch's line, on a
+    /// fetch side with no fault injector and no detection, whose lines
+    /// fit in a page and whose running scheme elides same-line fetches
+    /// or is the baseline full search. `None` when the next fetch must
+    /// go through [`fetch`](FetchSide::fetch). Re-read it after every
+    /// `fetch`.
+    #[must_use]
+    pub fn repeat_line(&self) -> Option<u32> {
+        // The I-cache declines when detection is armed.
+        let clean = self.fault.is_none()
+            && self.config.icache.geometry.line_bytes() <= self.config.itlb.page_bytes;
+        if clean {
+            self.icache.repeat_line()
+        } else {
+            None
+        }
+    }
+
+    /// Accounts `n` fetches from [`repeat_line`](FetchSide::repeat_line)'s
+    /// line, the last at `last_addr`: counter for counter what `n` calls
+    /// to [`fetch`](FetchSide::fetch) record, each a same-page I-TLB hit
+    /// and a one-cycle I-cache hit, so `n` cycles in all.
+    pub fn fetch_repeats(&mut self, last_addr: u32, n: u64) {
+        debug_assert_eq!(
+            self.repeat_line(),
+            Some(self.config.icache.geometry.line_addr(last_addr)),
+            "repeats need a clean fetch side and the previous fetch's line"
+        );
+        self.itlb.note_repeat_hits(n);
+        self.icache.same_line_fetches(last_addr, n);
+    }
+
     /// Instruction-fetch counters.
     #[must_use]
     pub fn fetch_stats(&self) -> &FetchStats {
@@ -406,14 +440,32 @@ impl MemorySystem {
     }
 
     /// Fetches `words` consecutive instruction words starting at
-    /// `addr`, one [`fetch`](MemorySystem::fetch) each. The timing sums
-    /// their cycles; `hit` is the conjunction of their hits.
+    /// `addr`, with exactly the counters and cycles of one
+    /// [`fetch`](MemorySystem::fetch) each. Words on the line of the
+    /// fetch before them are accounted in one
+    /// [`FetchSide::fetch_repeats`] call where
+    /// [`FetchSide::repeat_line`] allows it, as `wp-sim`'s lanes do;
+    /// the others go through the fetch core. The timing sums their
+    /// cycles; `hit` is the conjunction of their hits.
     pub fn fetch_block(&mut self, addr: u32, words: u32) -> FetchTiming {
+        let line_mask = !(self.config().icache.geometry.line_bytes() - 1);
         let mut timing = FetchTiming { hit: true, cycles: 0 };
-        for i in 0..words {
-            let next = self.fetch.fetch(addr + 4 * i);
+        let mut word = 0;
+        while word < words {
+            let next = self.fetch.fetch(addr + 4 * word);
             timing.cycles += next.cycles;
             timing.hit &= next.hit;
+            word += 1;
+            if let Some(line) = self.fetch.repeat_line() {
+                let start = word;
+                while word < words && (addr + 4 * word) & line_mask == line {
+                    word += 1;
+                }
+                if word > start {
+                    self.fetch.fetch_repeats(addr + 4 * (word - 1), u64::from(word - start));
+                    timing.cycles += word - start;
+                }
+            }
         }
         timing
     }
@@ -668,6 +720,69 @@ mod tests {
             assert_eq!(looped.detection_stats(), blocked.detection_stats());
             if config.fault.is_some() {
                 assert!(looped.fault_stats().total() > 0, "faults must land in this stream");
+            }
+        }
+    }
+
+    /// Same-line repeats accounted through `fetch_repeats`, as `wp-sim`'s
+    /// lanes and `fetch_block` account them, leave exactly the state of
+    /// one `fetch` each: the fetch and I-TLB counters, the cycles and
+    /// the victim every set would choose next, under every scheme,
+    /// replacement policy and elision setting. Where `repeat_line`
+    /// declines (a scheme that neither elides nor full-searches), both
+    /// sides fetch every word.
+    #[test]
+    fn same_line_repeats_match_per_fetch_calls() {
+        use crate::ReplacementPolicy;
+        let geom = CacheGeometry::new(2048, 4, 32);
+        for base in [
+            MemoryConfig::baseline(geom),
+            MemoryConfig::way_placement(geom, 0x8000, 2048),
+            MemoryConfig::way_memoization(geom),
+            MemoryConfig::way_prediction(geom),
+        ] {
+            for replacement in
+                [ReplacementPolicy::RoundRobin, ReplacementPolicy::Lru, ReplacementPolicy::Random]
+            {
+                for elision in [false, true] {
+                    let mut config = base;
+                    config.icache.replacement = replacement;
+                    config.icache.same_line_elision = elision;
+                    let tag = format!("{:?} {replacement:?} elision {elision}", base.icache.scheme);
+                    let mut per_fetch = FetchSide::new(config);
+                    let mut per_line = FetchSide::new(config);
+                    let (mut fetch_cycles, mut line_cycles) = (0u64, 0u64);
+                    let (mut pending, mut last, mut repeats) = (0u64, 0u32, 0u64);
+                    for addr in stream(0x5A11, 6000) {
+                        fetch_cycles += u64::from(per_fetch.fetch(addr).cycles);
+                        if per_line.repeat_line() == Some(geom.line_addr(addr)) {
+                            (pending, last) = (pending + 1, addr);
+                            line_cycles += 1;
+                            continue;
+                        }
+                        if pending > 0 {
+                            per_line.fetch_repeats(last, pending);
+                            (repeats, pending) = (repeats + pending, 0);
+                        }
+                        line_cycles += u64::from(per_line.fetch(addr).cycles);
+                    }
+                    if pending > 0 {
+                        per_line.fetch_repeats(last, pending);
+                        repeats += pending;
+                    }
+                    let repeatable = elision || base.icache.scheme == FetchScheme::Baseline;
+                    assert_eq!(repeats > 0, repeatable, "{tag}: {repeats} repeats");
+                    assert_eq!(line_cycles, fetch_cycles, "{tag}");
+                    assert_eq!(per_line.fetch_stats(), per_fetch.fetch_stats(), "{tag}");
+                    assert_eq!(per_line.itlb_stats(), per_fetch.itlb_stats(), "{tag}");
+                    let victims = |side: &FetchSide| {
+                        let mut array = side.icache().array().clone();
+                        (0..geom.sets())
+                            .map(|set| array.pick_victim(0x8000 + set * geom.line_bytes()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(victims(&per_line), victims(&per_fetch), "{tag}: next victims");
+                }
             }
         }
     }

@@ -324,7 +324,6 @@ impl InstructionCache {
     /// parallel-access constraint of §4.1, is only available *after* the
     /// cache access, which is why the way-hint bit exists.
     pub fn fetch(&mut self, addr: u32, wp_page: bool) -> FetchOutcome {
-        self.stats.fetches += 1;
         // Scrub the way-hint bit before anything trusts it — including
         // the elision shortcut, so an inversion injected before this
         // fetch is caught on this very fetch.
@@ -339,26 +338,68 @@ impl InstructionCache {
         // Same-line elision: no tag check at all when fetching from the
         // line the previous fetch used (§4.2, shared with [12]).
         if self.config.same_line_elision && self.last_line == Some(line) {
-            self.stats.same_line_elisions += 1;
-            self.stats.hits += 1;
-            self.stats.data_reads += 1;
-            // The hint tracks the *previous access*; a same-line fetch
-            // keeps it unchanged (same page, same answer). The line has
-            // not moved since the fetch that set `last_line` (fills, tag
-            // upsets and flushes all clear it), so way-memoization's
-            // anchor keeps its set and way and only the word advances.
-            if let Some(prev) = self.prev_fetch.as_mut() {
-                prev.addr = addr;
-                prev.slot = self.config.geometry.slot_of(addr);
-            }
+            self.same_line_fetches(addr, 1);
             return FetchOutcome { hit: true, cycles: 1 + self.take_recovery_cycles() };
         }
 
+        self.stats.fetches += 1;
         let mut outcome = (self.scheme_fetch)(self, addr, wp_page);
         outcome.cycles += self.take_recovery_cycles();
         self.last_line = Some(line);
         self.record_prev(addr);
         outcome
+    }
+
+    /// The line whose repeated fetches
+    /// [`same_line_fetches`](InstructionCache::same_line_fetches) can
+    /// account: the previous fetch's line, when detection is off and
+    /// the running scheme elides same-line fetches or is the baseline
+    /// full search. `None` when the next fetch needs
+    /// [`fetch`](InstructionCache::fetch).
+    pub(crate) fn repeat_line(&self) -> Option<u32> {
+        let repeatable = !self.detection
+            && (self.config.same_line_elision || self.config.scheme == FetchScheme::Baseline);
+        if repeatable {
+            self.last_line
+        } else {
+            None
+        }
+    }
+
+    /// Accounts `n` fetches from the previous fetch's line, the last at
+    /// `last_addr`, each a one-cycle hit: what `n` calls to
+    /// [`fetch`](InstructionCache::fetch) record when no tag upset or
+    /// scheme switch comes between them. With same-line elision each
+    /// is an elided hit, and way-memoization's anchor moves to the last
+    /// word: the line has not moved since the fetch that set
+    /// `last_line` (fills, tag upsets and flushes all clear it), so the
+    /// anchor keeps its set and way. Without elision (the baseline)
+    /// each is a full-search hit: every way compared and precharged,
+    /// and one recency touch of the line's way.
+    pub(crate) fn same_line_fetches(&mut self, last_addr: u32, n: u64) {
+        debug_assert_eq!(self.last_line, Some(self.shifts.line_addr(last_addr)));
+        self.stats.fetches += n;
+        self.stats.hits += n;
+        self.stats.data_reads += n;
+        if self.config.same_line_elision {
+            self.stats.same_line_elisions += n;
+            // The hint tracks the *previous access*; a same-line fetch
+            // keeps it unchanged (same page, same answer).
+            if let Some(prev) = self.prev_fetch.as_mut() {
+                prev.addr = last_addr;
+                prev.slot = self.config.geometry.slot_of(last_addr);
+            }
+        } else {
+            debug_assert_eq!(self.config.scheme, FetchScheme::Baseline);
+            let ways = u64::from(self.shifts.ways) * n;
+            self.stats.tag_comparisons += ways;
+            self.stats.matchline_precharges += ways;
+            let way = self.array.lookup(last_addr);
+            debug_assert!(way.is_some(), "a repeated line is resident");
+            if let Some(way) = way {
+                self.array.touch_n(last_addr, way, n);
+            }
+        }
     }
 
     /// Drains the recovery stall cycles accrued during this fetch into

@@ -194,6 +194,14 @@ impl Tlb {
         TlbOutcome { wp, miss: true, stall_cycles: self.config.miss_penalty }
     }
 
+    /// Records `n` more lookups of the page the previous lookup
+    /// resolved: each is a same-page hit, which changes nothing but the
+    /// lookup count.
+    pub(crate) fn note_repeat_hits(&mut self, n: u64) {
+        debug_assert!(self.is_present(self.last_hit), "repeat hits need a resident page");
+        self.stats.lookups += n;
+    }
+
     /// Writes both copies of an entry's WP bit (a fill or a repair).
     #[inline]
     fn write_wp_bits(&mut self, entry: usize, wp: bool) {

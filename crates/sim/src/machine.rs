@@ -2,11 +2,21 @@
 //! memory.
 
 use std::fmt;
+use std::sync::Mutex;
 
 use wp_isa::{Flags, Image, Reg};
 
 /// Size of the guest physical memory (covers text, data, heap, stack).
 pub const MEMORY_BYTES: usize = 16 * 1024 * 1024;
+
+/// Guest memories of dropped machines, kept for the next boots. A fresh
+/// 16 MiB allocation lands in whichever allocator arena the booting
+/// thread has, and a thread that starts on a new arena keeps one more
+/// copy resident for the life of the process.
+static SPARE_MEMORY: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+/// At most this many spare guest memories are kept.
+const SPARE_LIMIT: usize = 4;
 
 /// A guest memory access fault.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,12 +57,30 @@ impl fmt::Debug for Machine {
     }
 }
 
+impl Drop for Machine {
+    fn drop(&mut self) {
+        let memory = std::mem::take(&mut self.memory);
+        if let Ok(mut spare) = SPARE_MEMORY.lock() {
+            if spare.len() < SPARE_LIMIT {
+                spare.push(memory);
+            }
+        }
+    }
+}
+
 impl Machine {
     /// Creates a machine with the image loaded: text and data copied in,
     /// bss zeroed, `sp` at the stack top and `pc` at the entry point.
     #[must_use]
     pub fn boot(image: &Image) -> Machine {
-        let mut memory = vec![0u8; MEMORY_BYTES];
+        let spare = SPARE_MEMORY.lock().ok().and_then(|mut spare| spare.pop());
+        let mut memory = match spare {
+            Some(mut memory) => {
+                memory.fill(0);
+                memory
+            }
+            None => vec![0u8; MEMORY_BYTES],
+        };
         for (addr, insn) in image.iter_text() {
             let bytes = insn.encode().to_le_bytes();
             memory[addr as usize..addr as usize + 4].copy_from_slice(&bytes);
@@ -175,6 +203,24 @@ mod tests {
         assert_eq!(word, Insn::new(Cond::Al, Op::Nop).encode());
         assert_eq!(m.read_byte(Image::DATA_BASE).unwrap(), 0xaa);
         assert_eq!(m.read_byte(Image::DATA_BASE + 1).unwrap(), 0xbb);
+    }
+
+    #[test]
+    fn a_reused_guest_memory_boots_zeroed() {
+        let dirty: Vec<Machine> = (0..SPARE_LIMIT)
+            .map(|_| {
+                let mut m = Machine::boot(&image());
+                m.write_word(0x20_0000, 0xdead_beef).unwrap();
+                m.write_word(Image::STACK_TOP - 4, 7).unwrap();
+                m
+            })
+            .collect();
+        drop(dirty);
+        for m in (0..SPARE_LIMIT).map(|_| Machine::boot(&image())).collect::<Vec<_>>() {
+            assert_eq!(m.read_word(0x20_0000).unwrap(), 0);
+            assert_eq!(m.read_word(Image::STACK_TOP - 4).unwrap(), 0);
+            assert_eq!(m.read_byte(Image::DATA_BASE).unwrap(), 0xaa);
+        }
     }
 
     #[test]

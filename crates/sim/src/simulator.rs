@@ -284,9 +284,9 @@ impl Btb {
 /// # }
 /// ```
 pub fn simulate(image: &Image, config: &SimConfig) -> Result<RunResult, SimError> {
-    // `NullSink::enabled()` is a compile-time `false`: the traced
-    // branches fold away and this path costs nothing over a dedicated
-    // untraced loop.
+    // `NullSink` sees no fetch and samples no interval, both known at
+    // compile time: the traced branches fold away and a clean lane
+    // takes the per-line fetch path.
     simulate_traced(image, config, &mut NullSink)
 }
 
@@ -299,7 +299,10 @@ pub fn simulate(image: &Image, config: &SimConfig) -> Result<RunResult, SimError
 /// [`TraceSink::interval_cycles`] is `Some(n)`, the sink also receives
 /// delta [`IntervalSample`]s roughly every `n` cycles, plus one final
 /// partial interval at exit. The sink never changes architectural
-/// execution, timing or the counters in the returned [`RunResult`].
+/// execution, timing or the counters in the returned [`RunResult`]; a
+/// sink that sees fetches or samples intervals only makes every fetch
+/// go through the fetch core, where [`simulate`] leaves same-line
+/// fetches of a clean machine out of it.
 ///
 /// # Errors
 ///
@@ -329,6 +332,14 @@ pub fn simulate_traced<S: TraceSink>(
 /// [`FetchSide`], a degradation controller, the cycle count, the
 /// scoreboard and a [`WriteBuffer`].
 ///
+/// Each lane fetches per line where it can: a fetch from the line of
+/// the lane's last fetch-core call is a one-cycle hit that the lane
+/// only counts, and accounts in its [`FetchSide`] in one
+/// [`FetchSide::fetch_repeats`] call before its next core fetch. A
+/// lane with a fault injector, detection, degradation, or a scheme
+/// that neither elides same-line fetches nor is the baseline fetches
+/// every instruction through the fetch core.
+///
 /// An empty `configs` runs nothing and returns no results.
 ///
 /// # Errors
@@ -345,9 +356,6 @@ pub fn simulate_lanes(image: &Image, configs: &[SimConfig]) -> Result<Vec<RunRes
     if let Some(lane) = configs.iter().position(|config| !shares_core(first, config)) {
         return Err(SimError::LaneMismatch { lane });
     }
-    // Boot before building the lanes: the 16 MiB guest is the largest
-    // allocation, and taking it first lets the allocator reuse one
-    // region for it execution after execution instead of splitting it.
     let machine = Machine::boot(image);
     let mut lanes: Vec<Lane> = configs.iter().map(Lane::new).collect();
     let shared = execute(machine, image, first, &mut lanes, &mut NullSink)?;
@@ -380,6 +388,15 @@ struct Lane {
     buffer: WriteBuffer,
     degrade: Option<DegradationController>,
     clock: Clock,
+    /// Masks a pc to its line base in this lane's I-cache.
+    line_mask: u32,
+    /// The line of the lane's last core fetch while its fetches from
+    /// that line may skip the fetch core ([`FetchSide::repeat_line`]).
+    repeat: Option<u32>,
+    /// Fetches from `repeat` not yet accounted in `fetch`.
+    pending: u64,
+    /// Calls into the fetch core.
+    core_fetches: u64,
 }
 
 /// A lane's cycle count and scoreboard.
@@ -415,6 +432,19 @@ impl Lane {
                 .degradation
                 .map(|p| DegradationController::new(p, config.mem.icache.scheme)),
             clock: Clock::default(),
+            line_mask: !(config.mem.icache.geometry.line_bytes() - 1),
+            repeat: None,
+            pending: 0,
+            core_fetches: 0,
+        }
+    }
+
+    /// Accounts the pending same-line fetches, the last of them at
+    /// `last_pc`, in the fetch side.
+    fn flush(&mut self, last_pc: u32) {
+        if self.pending > 0 {
+            self.fetch.fetch_repeats(last_pc, self.pending);
+            self.pending = 0;
         }
     }
 
@@ -450,6 +480,15 @@ impl Lane {
 /// `config` supplies the shared parameters (lane 0's configuration;
 /// [`simulate_lanes`] has checked the others agree). The sink observes
 /// lane 0.
+///
+/// A fetch from the line of a lane's last core fetch is a known
+/// one-cycle hit (§4.2's same-line rule), so a lane without a
+/// degradation controller whose fetch side allows it
+/// ([`FetchSide::repeat_line`]) adds the cycle and counts the fetch as
+/// pending instead of calling the fetch core; the count goes into its
+/// [`FetchSide`] just before the lane's next core fetch and at exit. A
+/// sink that sees each fetch or samples intervals puts every lane on
+/// the per-fetch path.
 fn execute<S: TraceSink, L: AsMut<[Lane]>>(
     mut machine: Machine,
     image: &Image,
@@ -486,6 +525,10 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
     let mut sample_snapshot = FetchStats::new();
     // The registers each text slot reads, for the scoreboard.
     let sources: Vec<u16> = text.iter().map(|&insn| source_mask(insn)).collect();
+    let per_line = !sink.enabled() && sample_period.is_none();
+    // The previous instruction's pc: the last pending fetch of a lane
+    // that leaves its line on this instruction.
+    let mut last_pc = 0;
 
     loop {
         if instructions >= config.max_instructions {
@@ -508,6 +551,13 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
         // Fetch: I-TLB + I-cache (stalls include miss fills and
         // way-hint penalties), on every lane.
         for lane in lanes.iter_mut() {
+            if lane.repeat == Some(pc & lane.line_mask) {
+                lane.pending += 1;
+                lane.clock.cycles += 1;
+                continue;
+            }
+            lane.flush(last_pc);
+            lane.core_fetches += 1;
             let fetch = if sink.enabled() {
                 let (timing, mut event) = lane.fetch.fetch_traced(pc);
                 event.cycle = lane.clock.cycles;
@@ -518,7 +568,11 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
             };
             lane.clock.cycles += u64::from(fetch.cycles);
             degrade_window(&mut lane.degrade, &mut lane.fetch);
+            if per_line && lane.degrade.is_none() {
+                lane.repeat = lane.fetch.repeat_line();
+            }
         }
+        last_pc = pc;
 
         if let (Some(period), Some(lane)) = (sample_period, lanes.first()) {
             let cycles = lane.clock.cycles;
@@ -580,6 +634,9 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
                 machine.pc = pc.wrapping_add(4);
                 match number {
                     syscall::EXIT => {
+                        for lane in lanes.iter_mut() {
+                            lane.flush(pc);
+                        }
                         if let (Some(_), Some(lane)) = (sample_period, lanes.first()) {
                             // Flush the final partial interval so the
                             // series sums to the aggregate counters.
@@ -1103,18 +1160,13 @@ mod tests {
         assert_eq!(last.end_cycle, plain.cycles, "final flush reaches exit");
     }
 
-    #[test]
-    fn traced_and_untraced_runs_agree_under_every_scheme_and_degradation() {
-        // A long straight-line block (crossing I-cache lines) sits
-        // between a load-use producer and the loop branch. A sink is an
-        // observer, so the traced run must equal the untraced one field
-        // for field, cycles and counters included, under every fetch
-        // scheme. The armed configuration adds faults and a degradation
-        // window that is not a multiple of the line, so window
-        // boundaries land inside straight-line runs.
+    /// A loop whose long straight-line block (crossing I-cache lines)
+    /// sits between a load-use producer and the loop branch: 300 bytes
+    /// of text, so a 256-byte cache evicts on every iteration.
+    fn straight_line_loop() -> Image {
         let body: String =
-            (0..20).map(|i| format!("                add r0, r0, #{}\n", i + 1)).collect();
-        let src = format!(
+            (0..64).map(|i| format!("                add r0, r0, #{}\n", i + 1)).collect();
+        link(&format!(
             "_start:
                 mov r4, #200
                 ldr r5, =v
@@ -1129,31 +1181,122 @@ mod tests {
                 swi #0
             .data
             v: .word 3"
-        );
-        let image = link(&src);
-        let geom = CacheGeometry::new(2048, 4, 32);
+        ))
+    }
+
+    /// A way-placement machine with faults and a degradation window
+    /// that is not a multiple of the line, so window boundaries land
+    /// inside straight-line runs.
+    fn armed_config(geom: CacheGeometry) -> SimConfig {
         let policy =
             crate::DegradationPolicy { window_fetches: 97, demote_faults: 1, promote_windows: 2 };
-        let armed = SimConfig::new(
+        SimConfig::new(
             MemoryConfig::way_placement(geom, Image::TEXT_BASE, 1024)
                 .with_fault(wp_mem::FaultConfig::all(0xA4ED, 2_000)),
         )
-        .with_degradation(policy);
-        for cfg in [
-            SimConfig::new(MemoryConfig::baseline(geom)),
-            SimConfig::new(MemoryConfig::way_placement(geom, Image::TEXT_BASE, 1024)),
-            SimConfig::new(MemoryConfig::way_memoization(geom)),
-            SimConfig::new(MemoryConfig::way_prediction(geom)),
-            armed,
-        ] {
+        .with_degradation(policy)
+    }
+
+    /// Every scheme's clean machine on `geom`, with LRU replacement on
+    /// the baseline and way-memoization.
+    fn clean_configs(geom: CacheGeometry) -> Vec<SimConfig> {
+        let lru = |mut mem: MemoryConfig| {
+            mem.icache.replacement = wp_mem::ReplacementPolicy::Lru;
+            mem
+        };
+        [
+            MemoryConfig::baseline(geom),
+            lru(MemoryConfig::baseline(geom)),
+            MemoryConfig::way_placement(geom, Image::TEXT_BASE, 1024),
+            MemoryConfig::way_memoization(geom),
+            lru(MemoryConfig::way_memoization(geom)),
+            MemoryConfig::way_prediction(geom),
+        ]
+        .into_iter()
+        .map(SimConfig::new)
+        .collect()
+    }
+
+    /// The per-fetch reference: a recorder sees every fetch, so every
+    /// fetch goes through the fetch core.
+    fn per_fetch(image: &Image, config: &SimConfig) -> RunResult {
+        let mut recorder = wp_trace::TraceRecorder::new().with_capacity(1 << 16);
+        simulate_traced(image, config, &mut recorder).expect("traced")
+    }
+
+    #[test]
+    fn traced_and_untraced_runs_agree_under_every_scheme_and_degradation() {
+        // A sink is an observer, so the traced run, which fetches
+        // through the fetch core every time, must equal the untraced
+        // one, which leaves same-line fetches out of it, field for
+        // field, cycles and counters included: under every fetch
+        // scheme, on 32- and 64-byte lines, with LRU replacement on a
+        // cache too small for the loop, and armed.
+        let image = straight_line_loop();
+        let geom = CacheGeometry::new(2048, 4, 32);
+        let mut configs = clean_configs(geom);
+        configs.extend(clean_configs(CacheGeometry::new(256, 2, 64)));
+        configs.push(armed_config(geom));
+        for cfg in configs {
             let cfg = cfg.with_profile();
             let plain = simulate(&image, &cfg).expect("untraced");
-            let mut recorder = wp_trace::TraceRecorder::new().with_capacity(1 << 16);
-            let traced = simulate_traced(&image, &cfg, &mut recorder).expect("traced");
-            assert_eq!(plain, traced, "{:?}", cfg.mem.icache.scheme);
+            let icache = cfg.mem.icache;
+            assert_eq!(plain, per_fetch(&image, &cfg), "{icache:?}");
+            if icache.geometry.size_bytes() == 256 {
+                assert!(plain.fetch.misses > 200, "{icache:?} misses {}", plain.fetch.misses);
+            }
         }
-        let armed = simulate(&image, &armed).expect("armed");
+        let armed = simulate(&image, &armed_config(geom)).expect("armed");
         assert!(armed.demotions > 0 && armed.promotions > 0, "{:?}", armed.transitions);
+    }
+
+    #[test]
+    fn mixed_lane_groups_equal_their_per_fetch_runs() {
+        // Per-line lanes beside lanes that must fetch every word: an
+        // armed fault injector, detection alone, and degradation.
+        let image = straight_line_loop();
+        let geom = CacheGeometry::new(2048, 4, 32);
+        let mut configs = clean_configs(CacheGeometry::new(256, 2, 64));
+        configs.insert(2, armed_config(geom));
+        configs.extend([
+            SimConfig::new(
+                MemoryConfig::way_placement(geom, Image::TEXT_BASE, 1024)
+                    .with_fault(wp_mem::FaultConfig::all(0xF1A7, 3_000)),
+            ),
+            SimConfig::new(MemoryConfig::way_memoization(geom).with_detection()),
+            SimConfig::new(MemoryConfig::baseline(geom)),
+        ]);
+        let lanes = simulate_lanes(&image, &configs).expect("lanes");
+        for (lane, cfg) in lanes.iter().zip(&configs) {
+            assert_eq!(lane, &per_fetch(&image, cfg), "{:?}", cfg.mem);
+        }
+        assert!(lanes[2].demotions > 0 && lanes[7].faults.total() > 0);
+    }
+
+    #[test]
+    fn null_sink_runs_call_the_fetch_core_only_on_line_changes() {
+        // Lane-level core-fetch counts: under a sink that sees no
+        // fetch, a clean lane calls the fetch core once per line
+        // change; a sink that sees fetches needs it once per
+        // instruction.
+        fn core_fetches<S: TraceSink>(image: &Image, config: &SimConfig, sink: &mut S) -> u64 {
+            let mut lanes = [Lane::new(config)];
+            execute(Machine::boot(image), image, config, &mut lanes, sink).expect("run");
+            lanes[0].core_fetches
+        }
+        let image = straight_line_loop();
+        for cfg in clean_configs(CacheGeometry::new(2048, 4, 32)) {
+            let mut recorder = wp_trace::TraceRecorder::new().with_capacity(1 << 16);
+            let traced = core_fetches(&image, &cfg, &mut recorder);
+            let pcs: Vec<u32> = recorder.events().iter().map(|e| e.pc).collect();
+            assert_eq!(recorder.dropped(), 0);
+            assert_eq!(traced, pcs.len() as u64, "one core fetch per instruction");
+            let line = |pc: &u32| pc / cfg.mem.icache.geometry.line_bytes();
+            let changes = 1 + pcs.windows(2).filter(|w| line(&w[0]) != line(&w[1])).count();
+            let untraced = core_fetches(&image, &cfg, &mut NullSink);
+            assert_eq!(untraced, changes as u64, "{:?}", cfg.mem.icache);
+            assert!(untraced < traced / 2);
+        }
     }
 
     #[test]

@@ -44,6 +44,11 @@ if [[ "$quick" -eq 1 ]]; then
     echo "== traced and untraced runs agree under every scheme and degradation =="
     cargo test -q -p wp-sim --lib traced_and_untraced_runs_agree_under_every_scheme_and_degradation
 
+    echo "== per-line fetch equals the per-fetch path; a NullSink run skips same-line fetches =="
+    cargo test -q -p wp-mem --lib same_line_repeats_match_per_fetch_calls
+    cargo test -q -p wp-sim --lib mixed_lane_groups_equal_their_per_fetch_runs
+    cargo test -q -p wp-sim --lib null_sink_runs_call_the_fetch_core_only_on_line_changes
+
     echo "== layout competition smoke (six passes, both schemes) =="
     lc_dir="$(mktemp -d)"
     WP_BENCH_DIR="$lc_dir" cargo run --release -q --bin layout_compare -- --quick
@@ -67,11 +72,15 @@ if [[ "$quick" -eq 1 ]]; then
     obs_dir_b="$(mktemp -d)"
     WP_BENCH_DIR="$obs_dir_a" cargo run --release -q --bin obs_report -- --quick
     WP_BENCH_DIR="$obs_dir_b" cargo run --release -q --bin obs_report -- --quick >/dev/null
-    # Two armed runs must serialise to byte-identical journals.
+    # Two armed runs must serialise to byte-identical journals, and
+    # their manifests, which hold no wall-clock reading, must compare
+    # identical.
     if ! cmp -s "$obs_dir_a/OBS_journal.jsonl" "$obs_dir_b/OBS_journal.jsonl"; then
         echo "armed journals diverged across identical runs" >&2
         exit 1
     fi
+    WP_BENCH_DIR="$obs_dir_a" cargo run --release -q --bin trace_diff -- \
+        "$obs_dir_a/BENCH_obs_report.json" "$obs_dir_b/BENCH_obs_report.json"
     # An injected metric mismatch must fail the cross-checks with exit
     # code exactly 1.
     obs_code=0
