@@ -1470,7 +1470,9 @@ impl Engine {
     /// [`Engine::execute`] preceded, on the same worker threads, by a
     /// `prepare` pass over `tasks` that finishes before any job starts.
     /// One set of threads per run keeps the allocator's per-thread
-    /// arenas (and so peak memory) as they were with one pass. A panic
+    /// arenas (and so peak memory) as they were with one pass. The
+    /// calling thread is worker 0, so a one-worker engine starts no
+    /// thread and never lands a run on a fresh allocator arena. A panic
     /// in `prepare` is swallowed: preparation is best-effort, and the
     /// jobs redo whatever it left undone.
     fn execute_phased<P, G, T, R, F>(&self, tasks: &[P], prepare: G, jobs: &[T], job: F) -> Vec<R>
@@ -1485,7 +1487,7 @@ impl Engine {
         slots.resize_with(jobs.len(), || None);
         let slots = Mutex::new(slots);
         let (next_task, next) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let workers = self.workers.min(jobs.len().max(tasks.len()));
+        let workers = self.workers.min(jobs.len().max(tasks.len())).max(1);
         let barrier = std::sync::Barrier::new(workers);
         self.pool.queued.fetch_add(tasks.len() + jobs.len(), Ordering::Relaxed);
         self.sync_pool_gauges();
@@ -1503,24 +1505,26 @@ impl Engine {
             self.pool.running.fetch_sub(1, Ordering::Relaxed);
             self.sync_pool_gauges();
         };
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                scope.spawn(move || {
-                    while let Some(task) = tasks.get(next_task.fetch_add(1, Ordering::Relaxed)) {
-                        timed(worker, &mut || {
-                            let _ = catch_unwind(AssertUnwindSafe(|| prepare(task)));
-                        });
-                    }
-                    barrier.wait();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(input) = jobs.get(index) else { break };
-                        let mut result = None;
-                        timed(worker, &mut || result = Some(job(input)));
-                        lock(slots)[index] = result;
-                    }
+        let work = move |worker: usize| {
+            while let Some(task) = tasks.get(next_task.fetch_add(1, Ordering::Relaxed)) {
+                timed(worker, &mut || {
+                    let _ = catch_unwind(AssertUnwindSafe(|| prepare(task)));
                 });
             }
+            barrier.wait();
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(input) = jobs.get(index) else { break };
+                let mut result = None;
+                timed(worker, &mut || result = Some(job(input)));
+                lock(slots)[index] = result;
+            }
+        };
+        std::thread::scope(|scope| {
+            for worker in 1..workers {
+                scope.spawn(move || work(worker));
+            }
+            work(0);
         });
         let results = lock(slots)
             .drain(..)
@@ -1544,6 +1548,14 @@ mod tests {
             n * 2
         });
         assert_eq!(results, (0..64).map(|n| n * 2).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn a_one_worker_engine_runs_jobs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let jobs: Vec<u64> = (0..8).collect();
+        let threads = Engine::with_workers(1).execute(&jobs, |_| std::thread::current().id());
+        assert!(threads.iter().all(|&id| id == caller), "{threads:?} vs {caller:?}");
     }
 
     #[test]

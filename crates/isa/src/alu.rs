@@ -17,6 +17,7 @@ use crate::{AluOp, Flags};
 /// let (r, c, v) = add_with_carry(0x7fff_ffff, 1, false);
 /// assert_eq!((r, c, v), (0x8000_0000, false, true));
 /// ```
+#[inline]
 #[must_use]
 pub fn add_with_carry(a: u32, b: u32, carry_in: bool) -> (u32, bool, bool) {
     let unsigned = u64::from(a) + u64::from(b) + u64::from(carry_in);
@@ -40,6 +41,7 @@ pub struct AluOutcome {
 /// the shifter output `op2` with its carry-out `shifter_carry`, and the
 /// current flags (consumed by `adc`/`sbc` and preserved into V for
 /// logical operations).
+#[inline]
 #[must_use]
 pub fn alu_compute(
     op: AluOp,

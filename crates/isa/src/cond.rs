@@ -31,6 +31,7 @@ pub struct Flags {
 
 impl Flags {
     /// Flags from an arithmetic result plus explicit carry/overflow.
+    #[inline]
     #[must_use]
     pub fn from_result(result: u32, carry: bool, overflow: bool) -> Flags {
         Flags { n: (result as i32) < 0, z: result == 0, c: carry, v: overflow }
@@ -38,6 +39,7 @@ impl Flags {
 
     /// Flags for a logical (non-arithmetic) result: C comes from the barrel
     /// shifter, V is preserved.
+    #[inline]
     #[must_use]
     pub fn from_logical(result: u32, shifter_carry: bool, old: Flags) -> Flags {
         Flags { n: (result as i32) < 0, z: result == 0, c: shifter_carry, v: old.v }
@@ -132,6 +134,7 @@ impl Cond {
     ];
 
     /// Evaluates the condition against the flags.
+    #[inline]
     #[must_use]
     pub fn holds(self, f: Flags) -> bool {
         match self {

@@ -86,6 +86,7 @@ impl ShiftKind {
     /// * `Lsl`/`Lsr` by > 32 produce 0 with carry clear;
     /// * `Ror` reduces the amount modulo 32 (amount ≡ 0 mod 32 with a
     ///   non-zero amount leaves the value intact, carry = bit 31).
+    #[inline]
     #[must_use]
     pub fn apply(self, value: u32, amount: u32, carry_in: bool) -> (u32, bool) {
         if amount == 0 {

@@ -194,6 +194,7 @@ impl CamArray {
 
     /// Searches the set for `addr`'s tag; returns the way on a hit.
     /// Pure lookup — does not touch recency state.
+    #[inline]
     #[must_use]
     pub fn lookup(&self, addr: u32) -> Option<u32> {
         let set = self.shifts.set_of(addr);
@@ -218,8 +219,30 @@ impl CamArray {
         }
     }
 
+    /// [`lookup`](CamArray::lookup), trying way `hint` first. The answer
+    /// is the same whenever no set holds one tag in two ways, which is
+    /// so in an array whose fills only follow a missed lookup and whose
+    /// tags no fault flips: the data cache's.
+    #[inline]
+    #[must_use]
+    pub(crate) fn lookup_hinted(&self, addr: u32, hint: u32) -> Option<u32> {
+        if self.probe_way(addr, hint) {
+            Some(hint)
+        } else {
+            self.lookup(addr)
+        }
+    }
+
+    /// The set `addr` maps to.
+    #[inline]
+    #[must_use]
+    pub(crate) fn set_of(&self, addr: u32) -> usize {
+        self.shifts.set_of(addr) as usize
+    }
+
     /// Whether `addr`'s specific way holds `addr`'s line — the one-tag
     /// probe a way-placement access performs.
+    #[inline]
     #[must_use]
     pub fn probe_way(&self, addr: u32, way: u32) -> bool {
         let set = self.shifts.set_of(addr);
@@ -228,12 +251,14 @@ impl CamArray {
     }
 
     /// Records a use of (set, way) for LRU bookkeeping.
+    #[inline]
     pub fn touch(&mut self, addr: u32, way: u32) {
         self.touch_n(addr, way, 1);
     }
 
     /// Records `n` consecutive uses of (set, way): the state `n` calls
     /// to [`touch`](CamArray::touch) leave behind.
+    #[inline]
     pub(crate) fn touch_n(&mut self, addr: u32, way: u32, n: u64) {
         self.tick += n;
         let set = self.shifts.set_of(addr);
@@ -242,6 +267,7 @@ impl CamArray {
     }
 
     /// Marks the line holding `addr` in `way` dirty (write-back caches).
+    #[inline]
     pub fn mark_dirty(&mut self, addr: u32, way: u32) {
         let set = self.shifts.set_of(addr);
         let slot = self.slot(set, way);

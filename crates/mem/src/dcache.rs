@@ -105,10 +105,17 @@ impl WriteBuffer {
 
     /// Times an access whose address half found `probe`, at pipeline
     /// cycle `now`.
+    #[inline]
     pub fn settle(&mut self, probe: DataProbe, now: u64) -> DataOutcome {
         if probe.hit {
             return DataOutcome { hit: true, stall_cycles: 0 };
         }
+        self.settle_miss(probe, now)
+    }
+
+    /// The miss half of [`WriteBuffer::settle`].
+    #[inline(never)]
+    fn settle_miss(&mut self, probe: DataProbe, now: u64) -> DataOutcome {
         let mut stall = self.miss_latency;
         if probe.evicted_dirty {
             stall += self.enqueue_writeback(now + u64::from(stall));
@@ -144,6 +151,10 @@ impl WriteBuffer {
 pub struct DataCache {
     config: DCacheConfig,
     array: CamArray,
+    /// The way each set last hit or filled, which
+    /// [`DataCache::probe`] compares first: data streams revisit a few
+    /// lines per set.
+    recent: Vec<u32>,
     /// Address-half counters; `miss_stall_cycles` lives in `buffer`.
     stats: DCacheStats,
     buffer: WriteBuffer,
@@ -156,6 +167,7 @@ impl DataCache {
         DataCache {
             config,
             array: CamArray::new(config.geometry, config.replacement, 0xdca4e),
+            recent: vec![0; config.geometry.sets() as usize],
             stats: DCacheStats::new(),
             buffer: WriteBuffer::new(&config),
         }
@@ -176,6 +188,7 @@ impl DataCache {
     /// Resets tags, counters and the write buffer.
     pub fn reset(&mut self) {
         self.array.invalidate_all();
+        self.recent.fill(0);
         self.stats = DCacheStats::new();
         self.buffer.reset();
     }
@@ -199,6 +212,7 @@ impl DataCache {
     /// The address half of an access: lookup, fill, dirty eviction and
     /// every counter except `miss_stall_cycles`. The stall is left to a
     /// [`WriteBuffer`].
+    #[inline]
     pub fn probe(&mut self, addr: u32, write: bool) -> DataProbe {
         if write {
             self.stats.writes += 1;
@@ -207,8 +221,10 @@ impl DataCache {
         }
         self.stats.tag_comparisons += u64::from(self.config.geometry.ways());
         self.stats.data_accesses += 1;
-        match self.array.lookup(addr) {
+        let set = self.array.set_of(addr);
+        match self.array.lookup_hinted(addr, self.recent[set]) {
             Some(way) => {
+                self.recent[set] = way;
                 self.stats.hits += 1;
                 self.array.touch(addr, way);
                 if write {
@@ -216,21 +232,26 @@ impl DataCache {
                 }
                 DataProbe { hit: true, evicted_dirty: false }
             }
-            None => {
-                self.stats.misses += 1;
-                self.stats.line_fills += 1;
-                let way = self.array.pick_victim(addr);
-                let outcome = self.array.fill(addr, way);
-                if outcome.evicted_dirty {
-                    self.stats.writebacks += 1;
-                }
-                if write {
-                    // Write-allocate: the line is filled then written.
-                    self.array.mark_dirty(addr, way);
-                }
-                DataProbe { hit: false, evicted_dirty: outcome.evicted_dirty }
-            }
+            None => self.fill(addr, write),
         }
+    }
+
+    /// The miss half of [`DataCache::probe`]: victim, fill, writeback.
+    #[inline(never)]
+    fn fill(&mut self, addr: u32, write: bool) -> DataProbe {
+        self.stats.misses += 1;
+        self.stats.line_fills += 1;
+        let way = self.array.pick_victim(addr);
+        let outcome = self.array.fill(addr, way);
+        self.recent[self.array.set_of(addr)] = way;
+        if outcome.evicted_dirty {
+            self.stats.writebacks += 1;
+        }
+        if write {
+            // Write-allocate: the line is filled then written.
+            self.array.mark_dirty(addr, way);
+        }
+        DataProbe { hit: false, evicted_dirty: outcome.evicted_dirty }
     }
 }
 
@@ -245,6 +266,28 @@ mod tests {
             miss_latency: 50,
             writeback_latency: 8,
             write_buffer_entries: 2,
+        }
+    }
+
+    #[test]
+    fn recent_way_hits_are_the_full_searchs_way() {
+        // Each hit the set's recent way answers must be the way a full
+        // search finds, under every replacement policy.
+        for replacement in [ReplacementPolicy::RoundRobin, ReplacementPolicy::Lru] {
+            let mut cache = DataCache::new(DCacheConfig { replacement, ..small() });
+            let mut rng = crate::rng::SplitMix64::new(0xdca);
+            let mut hits = 0;
+            for _ in 0..20_000 {
+                let addr = rng.below(640) as u32 * 4;
+                let full = cache.array.lookup(addr);
+                let probe = cache.probe(addr, rng.flip());
+                assert_eq!(probe.hit, full.is_some());
+                if let Some(way) = full {
+                    assert_eq!(cache.recent[cache.array.set_of(addr)], way);
+                    hits += 1;
+                }
+            }
+            assert!(hits > 2_000 && hits < 18_000, "{replacement:?}: {hits} hits");
         }
     }
 

@@ -359,6 +359,7 @@ impl DataSide {
 
     /// The address half of an access at `addr`: D-TLB lookup plus
     /// [`DataCache::probe`].
+    #[inline]
     pub fn probe(&mut self, addr: u32, write: bool) -> DataAccess {
         let tlb = self.dtlb.lookup(addr);
         DataAccess { tlb_stall: tlb.stall_cycles, probe: self.dcache.probe(addr, write) }

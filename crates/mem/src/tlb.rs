@@ -13,11 +13,13 @@
 //!
 //! Storage is structure-of-arrays: a contiguous `vpns` slab plus
 //! `present` and `wp` bitsets (the WP bits in a parallel slab, one bit
-//! per entry), with a last-hit index checked before the CAM scan.
+//! per entry), with a last-hit index checked before the CAM scan and,
+//! after it, a small table of entry hints indexed by a hash of the VPN.
 //! Because a fill only ever happens after a whole-TLB miss, present
-//! VPNs are unique, so answering from the last-hit entry — or scanning
-//! in any order — is equivalent to a full sequential probe, and the
-//! hit path carries no recency state to update.
+//! VPNs are unique, so answering from the last-hit entry or from a
+//! hinted entry that still holds the VPN — or scanning in any order —
+//! is equivalent to a full sequential probe, and the hit path carries
+//! no recency state to update.
 //!
 //! The WP bit is the single most safety-critical bit in the design — a
 //! stale 1 sends fetches down the unchecked way-placement path — so it
@@ -27,6 +29,16 @@
 //! fill would (a modeled I-TLB refill, priced at the miss penalty).
 
 use crate::TlbStats;
+
+/// Slots in a TLB's table of entry hints.
+const HINT_SLOTS: usize = 64;
+
+/// The hint slot of `vpn` (Fibonacci hashing, so pages a power of two
+/// apart, such as the stack top and the data base, land apart).
+#[inline]
+fn hint_slot(vpn: u32) -> usize {
+    (vpn.wrapping_mul(0x9e37_79b9) >> (32 - HINT_SLOTS.trailing_zeros())) as usize
+}
 
 /// TLB configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -87,6 +99,11 @@ pub struct Tlb {
     /// The entry the last hit resolved to — fetch streams are heavily
     /// page-local, so this answers most lookups without a scan.
     last_hit: usize,
+    /// The entry that last resolved each [`hint_slot`] of VPNs: data
+    /// streams alternate between a few pages (stack, globals, heap),
+    /// which the last-hit entry alone misses. A hint is only trusted
+    /// when its entry is present and holds the VPN.
+    hints: [u32; HINT_SLOTS],
     next_victim: usize,
     wp_limit: u32,
     stats: TlbStats,
@@ -115,6 +132,7 @@ impl Tlb {
             wp: vec![0; words],
             wp_check: vec![0; words],
             last_hit: 0,
+            hints: [0; HINT_SLOTS],
             next_victim: 0,
             wp_limit,
             stats: TlbStats::new(),
@@ -165,6 +183,7 @@ impl Tlb {
     }
 
     /// Looks up `addr`, filling on a miss.
+    #[inline]
     pub fn lookup(&mut self, addr: u32) -> TlbOutcome {
         self.stats.lookups += 1;
         let vpn = addr >> self.page_bits;
@@ -173,10 +192,17 @@ impl Tlb {
         if self.vpns[last] == vpn && self.is_present(last) {
             return TlbOutcome { wp: self.wp_bit(last), miss: false, stall_cycles: 0 };
         }
-        if let Some(entry) =
-            (0..self.vpns.len()).find(|&e| self.is_present(e) && self.vpns[e] == vpn)
-        {
+        self.search(vpn)
+    }
+
+    /// The rest of a lookup of `vpn` that missed the last-hit entry:
+    /// the hinted entry, the CAM scan, then the fill.
+    #[inline(never)]
+    fn search(&mut self, vpn: u32) -> TlbOutcome {
+        let slot = hint_slot(vpn);
+        if let Some(entry) = self.find(vpn) {
             self.last_hit = entry;
+            self.hints[slot] = entry as u32;
             return TlbOutcome { wp: self.wp_bit(entry), miss: false, stall_cycles: 0 };
         }
         // Miss: the OS writes the entry, deriving the way-placement bit
@@ -191,7 +217,20 @@ impl Tlb {
         self.present[victim >> 6] |= 1u64 << (victim & 63);
         self.write_wp_bits(victim, wp);
         self.last_hit = victim;
+        self.hints[slot] = victim as u32;
         TlbOutcome { wp, miss: true, stall_cycles: self.config.miss_penalty }
+    }
+
+    /// The present entry holding `vpn`: its hinted entry if that still
+    /// holds it, else the first one a scan finds (the only one, as
+    /// present VPNs are unique).
+    #[inline]
+    fn find(&self, vpn: u32) -> Option<usize> {
+        let hinted = self.hints[hint_slot(vpn)] as usize;
+        if self.vpns[hinted] == vpn && self.is_present(hinted) {
+            return Some(hinted);
+        }
+        (0..self.vpns.len()).find(|&e| self.is_present(e) && self.vpns[e] == vpn)
     }
 
     /// Records `n` more lookups of the page the previous lookup
@@ -227,7 +266,7 @@ impl Tlb {
         if self.vpns[last] == vpn && self.is_present(last) {
             return Some(last);
         }
-        (0..self.vpns.len()).find(|&e| self.is_present(e) && self.vpns[e] == vpn)
+        self.find(vpn)
     }
 
     /// Flips the *primary* WP bit of `addr`'s entry, leaving the
@@ -268,6 +307,28 @@ mod tests {
 
     fn tlb(wp_limit: u32) -> Tlb {
         Tlb::new(TlbConfig { entries: 4, page_bytes: 1024, miss_penalty: 20 }, wp_limit)
+    }
+
+    #[test]
+    fn hinted_lookups_match_a_round_robin_scan() {
+        // Three hot pages among a spread that overflows 32 entries and
+        // collides in the hint table: every outcome equals a plain
+        // fully-associative round-robin model's.
+        let config = TlbConfig { entries: 32, page_bytes: 1024, miss_penalty: 20 };
+        let mut t = Tlb::new(config, 40 * 1024);
+        let (mut model, mut victim) = (vec![None; 32], 0);
+        let mut rng = crate::rng::SplitMix64::new(0x71b);
+        for _ in 0..20_000 {
+            let vpn = if rng.flip() { [3, 67, 131][rng.index(3)] } else { rng.below(96) as u32 };
+            let miss = !model.contains(&Some(vpn));
+            if miss {
+                model[victim] = Some(vpn);
+                victim = (victim + 1) % model.len();
+            }
+            let outcome = t.lookup(vpn << 10 | rng.below(1024) as u32);
+            assert_eq!((outcome.miss, outcome.wp), (miss, vpn < 40), "vpn {vpn}");
+        }
+        assert!(t.stats().misses > 1000 && t.stats().misses < 15_000, "{:?}", t.stats());
     }
 
     #[test]

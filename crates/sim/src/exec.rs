@@ -76,15 +76,18 @@ pub struct Step {
     pub class: InsnClass,
     /// Control-flow outcome.
     pub control: Control,
-    /// Data accesses performed (push/pop make several), as
-    /// `(address, is_write)`; only the first `mem_len` entries are valid.
-    pub mem: [(u32, bool); 16],
-    /// Number of valid entries in `mem`.
-    pub mem_len: u8,
+    /// How many data accesses the step wrote, in program order, into
+    /// the caller's access buffer (push and pop make several).
+    pub accesses: u8,
     /// Destination register whose result has non-unit latency (loads,
     /// multiplies), if any.
     pub slow_dest: Option<Reg>,
 }
+
+/// The data accesses of one step as `(address, is_write)`: the
+/// simulation loop owns one buffer and each [`step`] overwrites its
+/// first [`Step::accesses`] entries.
+pub(crate) type AccessBuffer = [(u32, bool); 16];
 
 /// Control-flow outcome of a step.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -110,20 +113,15 @@ pub enum Control {
 
 impl Step {
     fn simple(class: InsnClass) -> Step {
-        Step { class, control: Control::Next, mem: [(0, false); 16], mem_len: 0, slow_dest: None }
+        Step { class, control: Control::Next, accesses: 0, slow_dest: None }
     }
 
-    /// Iterates over the data accesses this step performed.
-    pub fn mem_accesses(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
-        self.mem[..self.mem_len as usize].iter().copied()
-    }
-
-    fn push_mem(&mut self, addr: u32, write: bool) {
-        self.mem[self.mem_len as usize] = (addr, write);
-        self.mem_len += 1;
+    fn branch(class: InsnClass, target: u32) -> Step {
+        Step { control: Control::Branch { taken: true, target }, ..Step::simple(class) }
     }
 }
 
+#[inline]
 fn reg_value(machine: &Machine, reg: Reg, addr: u32) -> Result<u32, ExecError> {
     if reg.is_pc() {
         return Err(ExecError::PcOperand { addr });
@@ -132,6 +130,7 @@ fn reg_value(machine: &Machine, reg: Reg, addr: u32) -> Result<u32, ExecError> {
 }
 
 /// Evaluates a flexible second operand; returns `(value, shifter_carry)`.
+#[inline]
 fn operand2(machine: &Machine, op2: Operand, addr: u32) -> Result<(u32, bool), ExecError> {
     let flags = machine.flags;
     match op2 {
@@ -147,7 +146,8 @@ fn operand2(machine: &Machine, op2: Operand, addr: u32) -> Result<(u32, bool), E
     }
 }
 
-/// Executes `insn` (already fetched from `addr`), updating the machine.
+/// Executes `insn` (already fetched from `addr`), updating the machine
+/// and writing the instruction's data accesses into `mem`.
 /// `machine.pc` is advanced or redirected by the caller based on the
 /// returned [`Control`].
 ///
@@ -155,7 +155,13 @@ fn operand2(machine: &Machine, op2: Operand, addr: u32) -> Result<(u32, bool), E
 ///
 /// Returns [`ExecError`] for data faults or architecture-violating
 /// operand use.
-pub fn step(machine: &mut Machine, insn: Insn, addr: u32) -> Result<Step, ExecError> {
+#[inline]
+pub(crate) fn step(
+    machine: &mut Machine,
+    insn: Insn,
+    addr: u32,
+    mem: &mut AccessBuffer,
+) -> Result<Step, ExecError> {
     if !insn.cond.holds(machine.flags) {
         // Predicated false: fetched and decoded but architecturally a
         // bubble-free nop.
@@ -221,9 +227,7 @@ pub fn step(machine: &mut Machine, insn: Insn, addr: u32) -> Result<Step, ExecEr
             if s {
                 machine.flags = Flags { c: machine.flags.c, v: machine.flags.v, ..flags };
             }
-            let mut step = Step::simple(InsnClass::Mul);
-            step.slow_dest = Some(rd);
-            Ok(step)
+            Ok(Step { slow_dest: Some(rd), ..Step::simple(InsnClass::Mul) })
         }
         Op::Mov16 { top, rd, imm } => {
             if rd.is_pc() {
@@ -265,8 +269,7 @@ pub fn step(machine: &mut Machine, insn: Insn, addr: u32) -> Result<Step, ExecEr
                 }
                 machine.set_reg(mem_addr.base, indexed);
             }
-            let mut step = Step::simple(if load { InsnClass::Load } else { InsnClass::Store });
-            step.push_mem(ea, !load);
+            mem[0] = (ea, !load);
             if load {
                 let value = match (width, signed) {
                     (MemWidth::Word, _) => machine.read_word(ea)?,
@@ -276,7 +279,7 @@ pub fn step(machine: &mut Machine, insn: Insn, addr: u32) -> Result<Step, ExecEr
                     (MemWidth::Half, true) => machine.read_half(ea)? as i16 as i32 as u32,
                 };
                 machine.set_reg(rd, value);
-                step.slow_dest = Some(rd);
+                Ok(Step { accesses: 1, slow_dest: Some(rd), ..Step::simple(InsnClass::Load) })
             } else {
                 let value = machine.reg(rd);
                 match width {
@@ -284,62 +287,56 @@ pub fn step(machine: &mut Machine, insn: Insn, addr: u32) -> Result<Step, ExecEr
                     MemWidth::Byte => machine.write_byte(ea, value as u8)?,
                     MemWidth::Half => machine.write_half(ea, value as u16)?,
                 }
+                Ok(Step { accesses: 1, ..Step::simple(InsnClass::Store) })
             }
-            Ok(step)
         }
         Op::Push { list } => {
             let count = list.len() as u32;
             let new_sp = machine.reg(Reg::SP).wrapping_sub(4 * count);
-            let mut step = Step::simple(InsnClass::Block(count as u8));
             for (i, reg) in list.iter().enumerate() {
                 let slot = new_sp.wrapping_add(4 * i as u32);
                 machine.write_word(slot, machine.reg(reg))?;
-                step.push_mem(slot, true);
+                mem[i] = (slot, true);
             }
             machine.set_reg(Reg::SP, new_sp);
-            Ok(step)
+            Ok(Step { accesses: count as u8, ..Step::simple(InsnClass::Block(count as u8)) })
         }
         Op::Pop { list } => {
+            let count = list.len() as u8;
             let sp = machine.reg(Reg::SP);
-            let mut step = Step::simple(InsnClass::Block(list.len() as u8));
             let mut target = None;
             for (i, reg) in list.iter().enumerate() {
                 let slot = sp.wrapping_add(4 * i as u32);
                 let value = machine.read_word(slot)?;
-                step.push_mem(slot, false);
+                mem[i] = (slot, false);
                 if reg.is_pc() {
                     target = Some(value);
                 } else {
                     machine.set_reg(reg, value);
                 }
             }
-            machine.set_reg(Reg::SP, sp.wrapping_add(4 * list.len() as u32));
-            if let Some(target) = target {
-                step.control = Control::Branch { taken: true, target };
-                step.class = InsnClass::Branch;
-            }
-            Ok(step)
+            machine.set_reg(Reg::SP, sp.wrapping_add(4 * u32::from(count)));
+            let step = match target {
+                Some(target) => Step::branch(InsnClass::Branch, target),
+                None => Step::simple(InsnClass::Block(count)),
+            };
+            Ok(Step { accesses: count, ..step })
         }
         Op::Branch { link, offset } => {
             let target = addr.wrapping_add(4).wrapping_add((offset as u32) << 2);
             if link {
                 machine.set_reg(Reg::LR, addr.wrapping_add(4));
             }
-            let mut step = Step::simple(InsnClass::Branch);
-            step.control = Control::Branch { taken: true, target };
-            Ok(step)
+            Ok(Step::branch(InsnClass::Branch, target))
         }
         Op::BranchReg { rm } => {
             let target = reg_value(machine, rm, addr)? & !3;
-            let mut step = Step::simple(InsnClass::Branch);
-            step.control = Control::Branch { taken: true, target };
-            Ok(step)
+            Ok(Step::branch(InsnClass::Branch, target))
         }
-        Op::Swi { imm } => {
-            let mut step = Step::simple(InsnClass::Branch);
-            step.control = Control::Syscall { number: imm, arg: machine.reg(Reg::R0) };
-            Ok(step)
-        }
+        Op::Swi { imm } => Ok(Step {
+            control: Control::Syscall { number: imm, arg: machine.reg(Reg::R0) },
+            ..Step::simple(InsnClass::Branch)
+        }),
     }
 }
 
@@ -362,7 +359,7 @@ mod tests {
         for _ in 0..count {
             let idx = image.text_index(machine.pc).expect("in text");
             let insn = image.text[idx];
-            let step = step(machine, insn, machine.pc).expect("step");
+            let step = step(machine, insn, machine.pc, &mut [(0, false); 16]).expect("step");
             match step.control {
                 Control::Next => machine.pc += 4,
                 Control::Branch { taken: true, target } => machine.pc = target,
@@ -521,7 +518,7 @@ mod tests {
             rn: Reg::PC,
             op2: Operand::Imm(0),
         });
-        let err = step(&mut m, bad, 0x8000).unwrap_err();
+        let err = step(&mut m, bad, 0x8000, &mut [(0, false); 16]).unwrap_err();
         assert!(matches!(err, ExecError::PcOperand { addr: 0x8000 }));
     }
 
@@ -531,7 +528,7 @@ mod tests {
         run_straight(&mut m, &image, 1);
         let idx = image.text_index(m.pc).unwrap();
         let pc = m.pc;
-        let s = step(&mut m, image.text[idx], pc).unwrap();
+        let s = step(&mut m, image.text[idx], pc, &mut [(0, false); 16]).unwrap();
         assert_eq!(s.control, Control::Syscall { number: 2, arg: 42 });
     }
 }

@@ -93,12 +93,15 @@ impl Machine {
         machine
     }
 
-    fn check(&self, addr: u32, bytes: u32, write: bool) -> Result<usize, MemFault> {
-        let end = addr as u64 + u64::from(bytes);
-        if end > self.memory.len() as u64 {
-            return Err(MemFault { addr, write });
-        }
-        Ok(addr as usize)
+    /// The `N` bytes at `base`, or `None` past the end of memory.
+    #[inline]
+    fn bytes<const N: usize>(&self, base: u32) -> Option<&[u8; N]> {
+        self.memory.get(base as usize..)?.first_chunk()
+    }
+
+    #[inline]
+    fn bytes_mut<const N: usize>(&mut self, base: u32) -> Option<&mut [u8; N]> {
+        self.memory.get_mut(base as usize..)?.first_chunk_mut()
     }
 
     /// Reads a 32-bit little-endian word. Unaligned addresses are
@@ -107,10 +110,11 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`MemFault`] if the access is out of range.
+    #[inline]
     pub fn read_word(&self, addr: u32) -> Result<u32, MemFault> {
-        let base = self.check(addr & !3, 4, false)?;
-        let m = &self.memory;
-        Ok(u32::from_le_bytes([m[base], m[base + 1], m[base + 2], m[base + 3]]))
+        let base = addr & !3;
+        let bytes = self.bytes(base).ok_or(MemFault { addr: base, write: false })?;
+        Ok(u32::from_le_bytes(*bytes))
     }
 
     /// Reads a 16-bit halfword.
@@ -118,9 +122,11 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`MemFault`] if the access is out of range.
+    #[inline]
     pub fn read_half(&self, addr: u32) -> Result<u16, MemFault> {
-        let base = self.check(addr & !1, 2, false)?;
-        Ok(u16::from_le_bytes([self.memory[base], self.memory[base + 1]]))
+        let base = addr & !1;
+        let bytes = self.bytes(base).ok_or(MemFault { addr: base, write: false })?;
+        Ok(u16::from_le_bytes(*bytes))
     }
 
     /// Reads one byte.
@@ -128,9 +134,10 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`MemFault`] if the access is out of range.
+    #[inline]
     pub fn read_byte(&self, addr: u32) -> Result<u8, MemFault> {
-        let base = self.check(addr, 1, false)?;
-        Ok(self.memory[base])
+        let [byte] = *self.bytes(addr).ok_or(MemFault { addr, write: false })?;
+        Ok(byte)
     }
 
     /// Writes a 32-bit word.
@@ -138,9 +145,10 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`MemFault`] if the access is out of range.
+    #[inline]
     pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), MemFault> {
-        let base = self.check(addr & !3, 4, true)?;
-        self.memory[base..base + 4].copy_from_slice(&value.to_le_bytes());
+        let base = addr & !3;
+        *self.bytes_mut(base).ok_or(MemFault { addr: base, write: true })? = value.to_le_bytes();
         Ok(())
     }
 
@@ -149,9 +157,10 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`MemFault`] if the access is out of range.
+    #[inline]
     pub fn write_half(&mut self, addr: u32, value: u16) -> Result<(), MemFault> {
-        let base = self.check(addr & !1, 2, true)?;
-        self.memory[base..base + 2].copy_from_slice(&value.to_le_bytes());
+        let base = addr & !1;
+        *self.bytes_mut(base).ok_or(MemFault { addr: base, write: true })? = value.to_le_bytes();
         Ok(())
     }
 
@@ -160,19 +169,21 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`MemFault`] if the access is out of range.
+    #[inline]
     pub fn write_byte(&mut self, addr: u32, value: u8) -> Result<(), MemFault> {
-        let base = self.check(addr, 1, true)?;
-        self.memory[base] = value;
+        *self.bytes_mut(addr).ok_or(MemFault { addr, write: true })? = [value];
         Ok(())
     }
 
     /// Register read.
+    #[inline]
     #[must_use]
     pub fn reg(&self, reg: Reg) -> u32 {
         self.regs[reg.index()]
     }
 
     /// Register write.
+    #[inline]
     pub fn set_reg(&mut self, reg: Reg, value: u32) {
         self.regs[reg.index()] = value;
     }

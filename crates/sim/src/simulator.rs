@@ -20,7 +20,7 @@ use wp_mem::{
 use wp_trace::{FetchCounters, IntervalSample, NullSink, TraceSink};
 
 use crate::degrade::{DegradationController, DegradationPolicy};
-use crate::exec::{step, Control, ExecError, InsnClass, Step};
+use crate::exec::{step, AccessBuffer, Control, ExecError, InsnClass, Step};
 use crate::machine::Machine;
 
 /// Guest system-call numbers.
@@ -234,15 +234,24 @@ impl RunResult {
 #[derive(Clone, Debug)]
 struct Btb {
     entries: Vec<Option<(u32, u32)>>,
+    /// `entries.len() - 1` when the size is a power of two, so the
+    /// index is a mask instead of a division.
+    mask: Option<usize>,
 }
 
 impl Btb {
     fn new(entries: u32) -> Btb {
-        Btb { entries: vec![None; entries.max(1) as usize] }
+        let entries = entries.max(1) as usize;
+        Btb { entries: vec![None; entries], mask: entries.is_power_of_two().then(|| entries - 1) }
     }
 
+    #[inline]
     fn index(&self, pc: u32) -> usize {
-        (pc as usize >> 2) % self.entries.len()
+        let word = pc as usize >> 2;
+        match self.mask {
+            Some(mask) => word & mask,
+            None => word % self.entries.len(),
+        }
     }
 
     fn predicts(&self, pc: u32, target: u32) -> bool {
@@ -513,7 +522,9 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
     let mut reports: u64 = 0;
     let mut output = Vec::new();
     let mut mispredicts: u64 = 0;
-    // The address halves of the current instruction's data accesses.
+    // The current instruction's data accesses, as `step` writes them,
+    // and their address halves.
+    let mut mem: AccessBuffer = [(0, false); 16];
     let mut accesses = [DataAccess::default(); 16];
     // Wall-clock watchdog, sampled every 16 K instructions so the
     // `Instant` syscall stays off the hot path.
@@ -594,14 +605,15 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
         }
 
         // Execute architecturally, once for every lane.
-        let outcome = step(&mut machine, insn, pc)?;
+        let outcome = step(&mut machine, insn, pc, &mut mem)?;
         instructions += 1;
 
         // The data side's address half and the branch prediction are
         // shared facts of the one execution; each lane then times them
         // against its own clock.
-        let accesses = &mut accesses[..usize::from(outcome.mem_len)];
-        for (access, (addr, write)) in accesses.iter_mut().zip(outcome.mem_accesses()) {
+        let count = usize::from(outcome.accesses);
+        let accesses = &mut accesses[..count];
+        for (access, &(addr, write)) in accesses.iter_mut().zip(&mem[..count]) {
             *access = data.probe(addr, write);
         }
         let branch_penalty = match outcome.control {

@@ -26,6 +26,12 @@ if [[ "$quick" -eq 1 ]]; then
     echo "== SoA/per-line differential equivalence (quick sweep) =="
     WP_QUICK=1 cargo test -q -p wp-mem --test soa_equivalence
 
+    echo "== executor golden (every op form, condition and fault path) =="
+    cargo test -q -p wp-core --test executor_golden
+
+    echo "== a one-worker engine runs its jobs on the calling thread =="
+    cargo test -q -p wp-bench --lib a_one_worker_engine_runs_jobs_on_the_calling_thread
+
     echo "== tag-parity disagreement bitset vs recomputed parity =="
     cargo test -q -p wp-mem --lib parity_bitset_matches_recomputed_parity
 
