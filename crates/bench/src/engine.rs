@@ -18,10 +18,11 @@
 //!   index, never by completion order, so output is reproducible on any
 //!   machine at any parallelism.
 //! * **Lock-step lanes** — before its per-job pass, [`Engine::run`]
-//!   groups its jobs, with any baseline not yet built, by
-//!   `(benchmark, code layout)`: the fetch scheme and cache geometry
-//!   change timing and energy, never architecture (the paper's §4), so
-//!   each group is one guest execution timing every member as a lane
+//!   groups its jobs, with any baseline not yet built, by benchmark:
+//!   the fetch scheme and cache geometry change timing and energy,
+//!   never architecture (the paper's §4), and a code layout only
+//!   relabels the pcs, so each group is one guest execution timing
+//!   every member as a lane under its own layout
 //!   ([`wp_core::measure_lanes`]). The results fill the baseline cells
 //!   and per-job slots the per-job pass then consumes, so failure
 //!   handling, retries and journal events stay per job.
@@ -503,12 +504,11 @@ enum LaneTarget {
     Job(usize),
 }
 
-/// One pool task of the lane pass: a single execution of `benchmark`
-/// under `layout`, timing every lane.
+/// One pool task of the lane pass: a single execution of `benchmark`,
+/// timing every lane under its scheme's layout.
 #[derive(Debug)]
 struct LaneGroup {
     benchmark: Benchmark,
-    layout: Layout,
     lanes: Vec<(CacheGeometry, Scheme, LaneTarget)>,
 }
 
@@ -1013,21 +1013,20 @@ impl Engine {
     }
 
     /// Groups `jobs`, with every baseline they need that no cell holds
-    /// yet, by `(benchmark, code layout)`, in first-seen order. When
+    /// yet, by benchmark, in first-seen order: a code layout only
+    /// relabels the pcs, so one execution times every layout. When
     /// there are fewer groups than workers, the largest groups are
     /// halved into lane shards until every worker has one.
     fn plan_lane_groups(&self, jobs: &[Job], set: InputSet) -> Vec<LaneGroup> {
         let mut groups: Vec<LaneGroup> = Vec::new();
         let mut lane = |benchmark: Benchmark, geometry, scheme: Scheme, target| {
-            let layout = scheme.layout();
-            let at =
-                match groups.iter().position(|g| g.benchmark == benchmark && g.layout == layout) {
-                    Some(at) => at,
-                    None => {
-                        groups.push(LaneGroup { benchmark, layout, lanes: Vec::new() });
-                        groups.len() - 1
-                    }
-                };
+            let at = match groups.iter().position(|g| g.benchmark == benchmark) {
+                Some(at) => at,
+                None => {
+                    groups.push(LaneGroup { benchmark, lanes: Vec::new() });
+                    groups.len() - 1
+                }
+            };
             groups[at].lanes.push((geometry, scheme, target));
         };
         let mut baselines: Vec<(Benchmark, CacheGeometry)> = Vec::new();
@@ -1054,8 +1053,8 @@ impl Engine {
                 break;
             };
             let lanes = largest.lanes.split_off(largest.lanes.len() / 2);
-            let (benchmark, layout) = (largest.benchmark, largest.layout);
-            groups.push(LaneGroup { benchmark, layout, lanes });
+            let benchmark = largest.benchmark;
+            groups.push(LaneGroup { benchmark, lanes });
         }
         groups
     }
@@ -1069,8 +1068,11 @@ impl Engine {
         let Ok(workbench) = self.catch_panic(|| self.workbench(group.benchmark)) else {
             return;
         };
-        let lanes: Vec<(CacheGeometry, Scheme)> =
-            group.lanes.iter().map(|&(geometry, scheme, _)| (geometry, scheme)).collect();
+        let lanes: Vec<(CacheGeometry, Scheme, Layout)> = group
+            .lanes
+            .iter()
+            .map(|&(geometry, scheme, _)| (geometry, scheme, scheme.layout()))
+            .collect();
         let mut options = self.measure_options(set);
         if let Some(limit) = self.job_time_limit {
             options = options.with_time_limit(limit.saturating_mul(lanes.len() as u32));
@@ -1080,7 +1082,7 @@ impl Engine {
             self.catch_panic(|| measure_lanes(&workbench, &lanes, options).map_err(Arc::new));
         if let Some(spans) = &self.spans {
             spans.record(
-                format!("lanes:{}/{:?}", group.benchmark.name(), group.layout),
+                format!("lanes:{}", group.benchmark.name()),
                 "measure",
                 started,
                 vec![
@@ -1211,8 +1213,8 @@ impl Engine {
         });
 
         let set = experiment.input_set;
-        // The lane pass: one execution per (benchmark, layout) group,
-        // filling baseline cells and job slots.
+        // The lane pass: one execution per benchmark group, filling
+        // baseline cells and job slots.
         let groups = self.plan_lane_groups(&jobs, set);
         let prepared: Vec<Prepared> = jobs.iter().map(|_| Mutex::new(None)).collect();
         let lane_pass = |group: &LaneGroup| self.run_lane_group(group, set, &prepared);

@@ -22,7 +22,7 @@
 //! row labelled `knee`; it is blessed and gated byte for byte with the
 //! other baseline manifests, so any drift is named by its JSON path.
 
-use wp_core::{measure_traced, measure_with, MeasureOptions, Scheme};
+use wp_core::{measure_lanes, measure_traced, MeasureOptions, Scheme};
 use wp_linker::Layout;
 use wp_mem::CacheGeometry;
 use wp_trace::TraceRecorder;
@@ -87,8 +87,18 @@ pub(crate) fn layout_runs_on(
     let workbench =
         engine.workbench(benchmark).map_err(|e| pipeline_error(benchmark.name(), &e))?;
     let full_area = FIGURE5_AREAS[0];
-    let mut rows = Vec::with_capacity(compare_layouts().len() * 2);
-    for layout in compare_layouts() {
+    // The measured energy at the competition area, under each layout:
+    // one execution times every layout's pair of lanes.
+    let wp_small = Scheme::WayPlacement { area_bytes: COMPARE_AREA_BYTES };
+    let memo = Scheme::WayMemoization;
+    let lanes: Vec<(CacheGeometry, Scheme, Layout)> = compare_layouts()
+        .into_iter()
+        .flat_map(|layout| [(icache, wp_small, layout), (icache, memo, layout)])
+        .collect();
+    let (measured, _) = measure_lanes(&workbench, &lanes, MeasureOptions::new(set))
+        .map_err(|e| pipeline_error(benchmark.name(), &e))?;
+    let mut rows = Vec::with_capacity(lanes.len());
+    for (layout, pair) in compare_layouts().into_iter().zip(measured.chunks(2)) {
         let tag = format!("{}/{}", benchmark.name(), layout.label());
 
         // Static coverage: how much of the training profile's dynamic
@@ -119,15 +129,7 @@ pub(crate) fn layout_runs_on(
             .find(|c| c.area_bytes == COMPARE_AREA_BYTES)
             .map_or(0.0, |c| c.covered_fetch_share);
 
-        // Measured energy at the competition area, under this layout.
-        let wp_small = Scheme::WayPlacement { area_bytes: COMPARE_AREA_BYTES };
-        let (wp, _) = measure_with(
-            &workbench,
-            icache,
-            wp_small,
-            MeasureOptions::new(set).with_layout(layout),
-        )
-        .map_err(|e| pipeline_error(&tag, &e))?;
+        let (wp, m) = (&pair[0], &pair[1]);
         rows.push(Json::obj([
             ("benchmark", Json::from(benchmark.name())),
             ("scheme", Json::from(format!("{}@{}", layout.label(), wp_small.label()).as_str())),
@@ -151,10 +153,6 @@ pub(crate) fn layout_runs_on(
             ),
         ]));
 
-        let memo = Scheme::WayMemoization;
-        let (m, _) =
-            measure_with(&workbench, icache, memo, MeasureOptions::new(set).with_layout(layout))
-                .map_err(|e| pipeline_error(&tag, &e))?;
         rows.push(Json::obj([
             ("benchmark", Json::from(benchmark.name())),
             ("scheme", Json::from(format!("{}@{}", layout.label(), memo.label()).as_str())),

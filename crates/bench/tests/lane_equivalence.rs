@@ -14,20 +14,24 @@
 //!   reversed or cut to a subset, so no state leaks between lanes;
 //! * **armed lanes** — with faults, detection and the chaos campaign's
 //!   degradation policy armed, at every `CHAOS_RATES_PPM` rung, lanes
-//!   still equal their standalone runs.
+//!   still equal their standalone runs;
+//! * **cross-layout lanes** — one execution times lanes under every
+//!   layout the layout competition races, each equal to a standalone
+//!   run linked under its own layout, whichever layout lane 0 has.
 //!
-//! Set `WP_QUICK=1` to trim the sweep to three benchmarks.
+//! Set `WP_QUICK=1` to trim the sweep to three benchmarks (the
+//! cross-layout test keeps patricia, whose layouts mispredict apart).
 
 use wp_bench::chaos::{chaos_policy, CHAOS_RATES_PPM};
 use wp_bench::engine::Engine;
 use wp_bench::figure6_geometries;
+use wp_bench::layout_compare::compare_layouts;
 use wp_core::wp_linker::Layout;
 use wp_core::wp_mem::{CacheGeometry, FaultConfig, MemoryConfig};
 use wp_core::wp_sim::{simulate_lanes, SimConfig, SimError, TraceSink};
 use wp_core::wp_workloads::{Benchmark, InputSet};
 use wp_core::{
-    measure_lanes, measure_traced, CoreError, FaultSpec, MeasureOptions, Measurement, Scheme,
-    Workbench,
+    measure_lanes, measure_traced, FaultSpec, MeasureOptions, Measurement, Scheme, Workbench,
 };
 
 const AREA: u32 = 8 * 1024;
@@ -56,8 +60,12 @@ fn schemes(layout: Layout) -> Vec<Scheme> {
     .collect()
 }
 
-fn lanes(geometries: &[CacheGeometry], schemes: &[Scheme]) -> Vec<(CacheGeometry, Scheme)> {
-    geometries.iter().flat_map(|&g| schemes.iter().map(move |&s| (g, s))).collect()
+/// Every `(geometry, scheme)` lane, each under its scheme's layout.
+fn lanes(geometries: &[CacheGeometry], schemes: &[Scheme]) -> Vec<(CacheGeometry, Scheme, Layout)> {
+    geometries
+        .iter()
+        .flat_map(|&g| schemes.iter().map(move |&s| (g, s, s.layout())))
+        .collect()
 }
 
 fn workbench(benchmark: Benchmark) -> std::sync::Arc<Workbench> {
@@ -66,7 +74,7 @@ fn workbench(benchmark: Benchmark) -> std::sync::Arc<Workbench> {
 
 fn group(
     workbench: &Workbench,
-    lanes: &[(CacheGeometry, Scheme)],
+    lanes: &[(CacheGeometry, Scheme, Layout)],
     options: MeasureOptions,
 ) -> Vec<Measurement> {
     measure_lanes(workbench, lanes, options).expect("lane group").0
@@ -110,7 +118,7 @@ fn check_layout(layout: Layout) {
         let lanes = lanes(&geometries, &schemes(layout));
         let measured = group(&workbench, &lanes, options);
         assert_eq!(measured.len(), lanes.len());
-        for (&(geometry, scheme), lane) in lanes.iter().zip(&measured) {
+        for (&(geometry, scheme, _), lane) in lanes.iter().zip(&measured) {
             let tag = format!("{benchmark} {geometry} {}", scheme.label());
             assert_same(&tag, lane, &standalone(&workbench, geometry, scheme, options));
         }
@@ -163,7 +171,7 @@ fn armed_lanes_equal_standalone_runs() {
                 .with_degradation(chaos_policy());
             for schemes in [&ARMED_NATURAL[..], &ARMED_WAY_PLACEMENT[..]] {
                 let lanes = lanes(&geometries, schemes);
-                for (&(geometry, scheme), lane) in
+                for (&(geometry, scheme, _), lane) in
                     lanes.iter().zip(&group(&workbench, &lanes, options))
                 {
                     let tag = format!("{benchmark} {} at {rate} ppm", scheme.label());
@@ -177,23 +185,82 @@ fn armed_lanes_equal_standalone_runs() {
     assert!(faulted > 0 && demoted > 0, "faults must land and lanes must degrade");
 }
 
-/// Lanes that would not share one execution are typed errors, never
-/// panics; an empty group runs nothing.
+/// One execution times every layout the layout competition races:
+/// each lane equals a standalone run linked under its own layout, on
+/// the per-fetch path, and a group whose lane 0 (the executed binary)
+/// is another layout reproduces every lane.
+#[test]
+fn cross_layout_lanes_equal_standalone_runs() {
+    let geometries = [CacheGeometry::xscale_icache(), CacheGeometry::new(16 * 1024, 8, 32)];
+    let schemes =
+        [Scheme::Baseline, Scheme::WayPlacement { area_bytes: AREA }, Scheme::WayMemoization];
+    let options = MeasureOptions::new(InputSet::Small);
+    let mut mispredicts_differ = false;
+    // Patricia's small input mispredicts thousands of branches more
+    // under the natural layout than under way-placement's.
+    let mut benchmarks = benchmarks().to_vec();
+    if !benchmarks.contains(&Benchmark::Patricia) {
+        benchmarks.push(Benchmark::Patricia);
+    }
+    for benchmark in benchmarks {
+        let workbench = workbench(benchmark);
+        let lanes: Vec<(CacheGeometry, Scheme, Layout)> = compare_layouts()
+            .into_iter()
+            .flat_map(|layout| {
+                lanes(&geometries, &schemes).into_iter().map(move |(g, s, _)| (g, s, layout))
+            })
+            .collect();
+        let measured = group(&workbench, &lanes, options);
+        assert_eq!(measured.len(), lanes.len());
+        for (&(geometry, scheme, layout), lane) in lanes.iter().zip(&measured) {
+            let tag = format!("{benchmark} {geometry} {} under {}", scheme.label(), layout.label());
+            let alone = standalone(&workbench, geometry, scheme, options.with_layout(layout));
+            assert_same(&tag, lane, &alone);
+        }
+        let mispredicts = |layout: Layout| {
+            let at = lanes.iter().position(|&(_, _, l)| l == layout).expect("layout lane");
+            measured[at].run.branch_mispredicts
+        };
+        mispredicts_differ |= compare_layouts()
+            .iter()
+            .any(|&l| mispredicts(l) != mispredicts(Layout::Natural));
+
+        // Rotated so lane 0 runs a relabelled layout: the executed
+        // binary changes, no lane's result does.
+        for shift in [lanes.len() / 2, lanes.len() - schemes.len()] {
+            let mut rotated = lanes.clone();
+            rotated.rotate_left(shift);
+            assert_ne!(rotated[0].2, Layout::Natural);
+            let again = group(&workbench, &rotated, options);
+            for (i, lane) in again.iter().enumerate() {
+                let tag = format!("{benchmark} lane 0 under {}", rotated[0].2.label());
+                assert_same(&tag, lane, &measured[(i + shift) % lanes.len()]);
+            }
+        }
+    }
+    assert!(mispredicts_differ, "each layout must predict branches with its own BTB");
+}
+
+/// Lanes under different layouts equal their standalone runs; lanes
+/// that would not share one execution are typed errors, never panics;
+/// an empty group runs nothing.
 #[test]
 fn mismatched_lane_groups_are_typed_errors() {
     let workbench = workbench(Benchmark::Crc);
     let geometry = CacheGeometry::xscale_icache();
     let options = MeasureOptions::new(InputSet::Small);
     let mixed =
-        [(geometry, Scheme::WayMemoization), (geometry, Scheme::WayPlacement { area_bytes: AREA })];
-    match measure_lanes(&workbench, &mixed, options) {
-        Err(CoreError::Sim(SimError::LaneMismatch { lane: 1 })) => {}
-        other => panic!("mixed layouts must be a typed error, got {other:?}"),
+        lanes(&[geometry], &[Scheme::WayMemoization, Scheme::WayPlacement { area_bytes: AREA }]);
+    assert_ne!(mixed[0].2, mixed[1].2);
+    let measured = group(&workbench, &mixed, options);
+    for (&(geometry, scheme, layout), lane) in mixed.iter().zip(&measured) {
+        let alone = standalone(&workbench, geometry, scheme, options.with_layout(layout));
+        assert_same(&format!("mixed {}", scheme.label()), lane, &alone);
     }
     // An explicit layout runs both lanes under it, as a standalone run
     // with that layout would.
     let forced = options.with_layout(Layout::Natural);
-    let measured = measure_lanes(&workbench, &mixed, forced).expect("forced layout").0;
+    let measured = group(&workbench, &mixed, forced);
     let alone = standalone(&workbench, mixed[1].0, mixed[1].1, forced);
     assert_same("forced layout", &measured[1], &alone);
     assert!(measure_lanes(&workbench, &[], options).expect("empty").0.is_empty());

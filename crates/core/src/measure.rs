@@ -6,7 +6,8 @@ use std::time::{Duration, Instant};
 use wp_energy::{EnergyModel, EnergyReport, SystemActivity};
 use wp_mem::CacheGeometry;
 use wp_sim::{
-    simulate_lanes, simulate_traced, NullSink, RunResult, SimConfig, SimError, TraceSink,
+    simulate_layouts, simulate_traced, NullSink, Relabelling, RunResult, SimConfig, SimError,
+    TraceSink,
 };
 use wp_workloads::InputSet;
 
@@ -244,7 +245,7 @@ pub fn measure_traced<S: TraceSink>(
     sink: &mut S,
 ) -> Result<(Measurement, MeasureTiming), CoreError> {
     let start = Instant::now();
-    let output = link_for(workbench, options.layout.unwrap_or_else(|| scheme.layout()), &options)?;
+    let output = link_for(workbench, linked_layout(scheme.layout(), &options), &options)?;
     let link = start.elapsed();
 
     let start = Instant::now();
@@ -260,46 +261,66 @@ pub fn measure_traced<S: TraceSink>(
     Ok((measurement, MeasureTiming { link, simulate, price }))
 }
 
-/// [`measure_with`] for a group of `(geometry, scheme)` lanes that
-/// share one code layout: links once, times every lane in one
-/// lock-step execution ([`wp_sim::simulate_lanes`]), verifies the
-/// checksum once and prices each lane. Lane `i`'s measurement equals
-/// `measure_with(workbench, lanes[i].0, lanes[i].1, options)`; the
-/// returned timing covers the whole group.
+/// [`measure_with`] for a group of `(geometry, scheme, layout)` lanes:
+/// links each distinct layout once, times every lane in one lock-step
+/// execution of lane 0's binary ([`wp_sim::simulate_layouts`]: a layout
+/// only relabels the pcs), verifies the checksum once and prices each
+/// lane. Callers pass each scheme's own `scheme.layout()` unless they
+/// study another; `options.layout` overrides every lane's. Lane `i`'s
+/// measurement equals `measure_with(workbench, lanes[i].0, lanes[i].1,
+/// options.with_layout(lanes[i].2))`; the returned timing covers the
+/// whole group.
 ///
 /// # Errors
 ///
-/// [`wp_sim::SimError::LaneMismatch`] when `options.layout` is unset
-/// and a lane's scheme links under a different layout than lane 0's;
-/// otherwise what [`measure_with`] would return, which is the same for
-/// every lane (the watchdog limit applies to the whole group).
+/// What [`measure_with`] would return for lane 0, which is the same
+/// for every lane (the watchdog limit applies to the whole group);
+/// [`wp_sim::SimError::LaneMismatch`] naming the first lane of another
+/// layout when the guest could tell the layouts apart (see
+/// [`wp_sim::simulate_layouts`]).
 pub fn measure_lanes(
     workbench: &Workbench,
-    lanes: &[(CacheGeometry, Scheme)],
+    lanes: &[(CacheGeometry, Scheme, Layout)],
     options: MeasureOptions,
 ) -> Result<(Vec<Measurement>, MeasureTiming), CoreError> {
-    let Some(&(_, first)) = lanes.first() else {
+    if lanes.is_empty() {
         return Ok((Vec::new(), MeasureTiming::default()));
-    };
-    let layout = match options.layout {
-        Some(layout) => layout,
-        None => {
-            if let Some(lane) = lanes.iter().position(|(_, s)| s.layout() != first.layout()) {
-                return Err(CoreError::Sim(SimError::LaneMismatch { lane }));
-            }
-            first.layout()
-        }
-    };
+    }
     let start = Instant::now();
-    let output = link_for(workbench, layout, &options)?;
+    // Each distinct layout linked once, lane 0's first: its binary is
+    // the one executed, and every later layout relabels it.
+    let mut links: Vec<(Layout, LinkOutput)> = Vec::new();
+    let mut relabellings: Vec<Relabelling> = Vec::new();
+    let mut layout_of = Vec::with_capacity(lanes.len());
+    for (lane, &(_, _, layout)) in lanes.iter().enumerate() {
+        let layout = linked_layout(layout, &options);
+        let at = match links.iter().position(|(linked, _)| *linked == layout) {
+            Some(at) => at,
+            None => {
+                let output = link_for(workbench, layout, &options)?;
+                if let Some((_, executed)) = links.first() {
+                    let relabelling =
+                        Relabelling::compose(&executed.natural_of_final, &output.final_of_natural);
+                    relabellings.push(relabelling.ok_or(SimError::LaneMismatch { lane })?);
+                }
+                links.push((layout, output));
+                links.len() - 1
+            }
+        };
+        layout_of.push(at);
+    }
+    let executed = &links[0].1;
     let link = start.elapsed();
 
     let start = Instant::now();
-    let configs: Vec<SimConfig> = lanes
+    let configs: Vec<(SimConfig, Option<&Relabelling>)> = lanes
         .iter()
-        .map(|&(icache, scheme)| sim_config(icache, scheme, &options))
+        .zip(&layout_of)
+        .map(|(&(icache, scheme, _), &at)| {
+            (sim_config(icache, scheme, &options), at.checked_sub(1).map(|k| &relabellings[k]))
+        })
         .collect();
-    let runs = simulate_lanes(&output.image, &configs)?;
+    let runs = simulate_layouts(&executed.image, &configs)?;
     if let Some(run) = runs.first() {
         verify(workbench.benchmark(), options.set, run.checksum)?;
     }
@@ -310,15 +331,25 @@ pub fn measure_lanes(
         .iter()
         .zip(&configs)
         .zip(runs)
-        .map(|((&(icache, scheme), config), run)| priced(icache, scheme, config, run))
+        .map(|((&(icache, scheme, _), (config, _)), run)| priced(icache, scheme, config, run))
         .collect();
     let price = start.elapsed();
 
     Ok((measurements, MeasureTiming { link, simulate, price }))
 }
 
-/// Links the measured binary under `layout`; compiler-side faults
-/// perturb this step.
+/// The layout a lane asking for `layout` is linked under: the
+/// options' override, or the chain permutation a
+/// [`FaultSpec::PermuteChains`] fault forces.
+fn linked_layout(layout: Layout, options: &MeasureOptions) -> Layout {
+    match options.fault {
+        Some(FaultSpec::PermuteChains { seed }) => Layout::Random(seed),
+        _ => options.layout.unwrap_or(layout),
+    }
+}
+
+/// Links the measured binary under `layout` (a [`linked_layout`]); a
+/// corrupted profile perturbs this step.
 fn link_for(
     workbench: &Workbench,
     layout: Layout,
@@ -330,8 +361,9 @@ fn link_for(
             let corrupted = corrupt_profile(workbench.profile(), seed, flips);
             workbench.link_with(layout, set, &corrupted)?
         }
-        Some(FaultSpec::PermuteChains { seed }) => workbench.link(Layout::Random(seed), set)?,
-        Some(FaultSpec::Hardware(_)) | None => workbench.link(layout, set)?,
+        Some(FaultSpec::PermuteChains { .. } | FaultSpec::Hardware(_)) | None => {
+            workbench.link(layout, set)?
+        }
     })
 }
 

@@ -153,6 +153,9 @@ pub struct InstructionCache {
     /// whenever the line could have moved: any fill, tag upset, scheme
     /// switch or reset.
     last_line: Option<u32>,
+    /// The way of `last_line` under the baseline, which found or filled
+    /// it there: its repeats touch that way without searching again.
+    last_way: u32,
     /// The global way-hint bit (§4.1): was the previous fetch a
     /// way-placement access?
     way_hint: bool,
@@ -216,6 +219,7 @@ impl InstructionCache {
             array: CamArray::new(geom, config.replacement, 0x1cac4e),
             stats: FetchStats::new(),
             last_line: None,
+            last_way: 0,
             way_hint: false,
             way_hint_check: false,
             detection: false,
@@ -394,11 +398,10 @@ impl InstructionCache {
             let ways = u64::from(self.shifts.ways) * n;
             self.stats.tag_comparisons += ways;
             self.stats.matchline_precharges += ways;
-            let way = self.array.lookup(last_addr);
-            debug_assert!(way.is_some(), "a repeated line is resident");
-            if let Some(way) = way {
-                self.array.touch_n(last_addr, way, n);
-            }
+            // Repeats write nothing to the array, so the line is still
+            // in the way the fetch that set `last_line` found it.
+            debug_assert_eq!(self.array.lookup(last_addr), Some(self.last_way));
+            self.array.touch_n(last_addr, self.last_way, n);
         }
     }
 
@@ -519,11 +522,13 @@ impl InstructionCache {
         match self.full_search(addr) {
             Some(way) => {
                 self.hit(addr, way);
+                self.last_way = way;
                 FetchOutcome { hit: true, cycles: 1 }
             }
             None => {
                 let way = self.array.pick_victim(addr);
                 self.miss_fill(addr, way);
+                self.last_way = way;
                 FetchOutcome { hit: false, cycles: 1 + self.config.miss_latency }
             }
         }

@@ -19,11 +19,6 @@ pub enum ExecError {
         /// Address of the offending instruction.
         addr: u32,
     },
-    /// Control flow left the text section.
-    WildJump {
-        /// The bad target.
-        target: u32,
-    },
 }
 
 impl fmt::Display for ExecError {
@@ -32,9 +27,6 @@ impl fmt::Display for ExecError {
             ExecError::Mem(fault) => fault.fmt(f),
             ExecError::PcOperand { addr } => {
                 write!(f, "pc used as data operand at {addr:#010x}")
-            }
-            ExecError::WildJump { target } => {
-                write!(f, "control flow left text: {target:#010x}")
             }
         }
     }

@@ -72,7 +72,8 @@ pub use degrade::{DegradationController, DegradationPolicy, SchemeTransition};
 pub use exec::{Control, ExecError, InsnClass, Step};
 pub use machine::{Machine, MemFault, MEMORY_BYTES};
 pub use simulator::{
-    checksum_of, simulate, simulate_lanes, simulate_traced, syscall, RunResult, SimConfig, SimError,
+    checksum_of, simulate, simulate_lanes, simulate_layouts, simulate_traced, syscall, Relabelling,
+    RunResult, SimConfig, SimError,
 };
 // Sink vocabulary for `simulate_traced` callers.
 pub use wp_trace::{NullSink, TraceSink};

@@ -322,9 +322,10 @@ pub fn simulate_traced<S: TraceSink>(
     sink: &mut S,
 ) -> Result<RunResult, SimError> {
     let machine = Machine::boot(image);
+    let mut views = [View::new(config, None, 1)];
     let mut lanes = [Lane::new(config)];
-    let shared = execute(machine, image, config, &mut lanes, sink)?;
-    Ok(lanes[0].result(&shared))
+    let shared = execute::<_, _, _, false>(machine, image, config, &mut views, &mut lanes, sink)?;
+    Ok(lanes[0].result(&shared, views[0].mispredicts))
 }
 
 /// Runs `image` once and times it under every configuration of
@@ -334,12 +335,14 @@ pub fn simulate_traced<S: TraceSink>(
 /// The paper's §4 argument is that the fetch scheme, its faults and
 /// its degradation change timing and energy, never architecture. So
 /// one architectural execution (machine state, text-bounds checks,
-/// instruction budget, branch target buffer, syscalls) feeds every
-/// lane, and so does the data side's address state (D-TLB, D-cache
-/// array and every [`DCacheStats`] counter except `miss_stall_cycles`).
-/// Each lane keeps what depends on its own cache or clock: a
-/// [`FetchSide`], a degradation controller, the cycle count, the
-/// scoreboard and a [`WriteBuffer`].
+/// instruction budget, syscalls) feeds every lane, and so does the
+/// data side's address state (D-TLB, D-cache array and every
+/// [`DCacheStats`] counter except `miss_stall_cycles`). Each lane keeps
+/// what depends on its own cache or clock: a [`FetchSide`], a
+/// degradation controller, the cycle count, the scoreboard and a
+/// [`WriteBuffer`]. The lanes share one code layout, so they also share
+/// the branch target buffer; [`simulate_layouts`] times lanes under
+/// different layouts.
 ///
 /// Each lane fetches per line where it can: a fetch from the line of
 /// the lane's last fetch-core call is a one-cycle hit that the lane
@@ -359,16 +362,146 @@ pub fn simulate_traced<S: TraceSink>(
 /// otherwise the error [`simulate`] would return, which is the same for
 /// every lane.
 pub fn simulate_lanes(image: &Image, configs: &[SimConfig]) -> Result<Vec<RunResult>, SimError> {
-    let Some(first) = configs.first() else {
+    let lanes: Vec<(SimConfig, Option<&Relabelling>)> =
+        configs.iter().map(|&config| (config, None)).collect();
+    simulate_layouts(image, &lanes)
+}
+
+/// Where each instruction of an executed image sits in another code
+/// layout of the same program.
+///
+/// A layout pass moves whole chains, and chains keep fall-through and
+/// call-return pairs adjacent, so two links of one program execute the
+/// same instructions in the same order, each at its own address: the
+/// second link's run is the first's with every pc relabelled. A lane
+/// of [`simulate_layouts`] holding a relabelling fetches, indexes its
+/// branch target buffer and keeps its per-line state at the relabelled
+/// pcs.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Relabelling {
+    /// The executed image's text index → this layout's pc.
+    pcs: Vec<u32>,
+}
+
+impl Relabelling {
+    /// Composes the relabelling between two links of one program from
+    /// the executed link's `natural_of_final` (its text index → the
+    /// natural index) and the other link's `final_of_natural` (the
+    /// natural index → its text index), as `wp_linker::LinkOutput`
+    /// records them.
+    ///
+    /// `None` when the two are not permutations of one text: their
+    /// lengths differ or an index is out of range.
+    #[must_use]
+    pub fn compose(natural_of_final: &[usize], final_of_natural: &[usize]) -> Option<Relabelling> {
+        if natural_of_final.len() != final_of_natural.len() {
+            return None;
+        }
+        let pcs = natural_of_final
+            .iter()
+            .map(|&natural| {
+                let index = *final_of_natural.get(natural)?;
+                let offset = u32::try_from(index).ok()?.checked_mul(Insn::SIZE)?;
+                Image::TEXT_BASE.checked_add(offset)
+            })
+            .collect::<Option<Vec<u32>>>()?;
+        Some(Relabelling { pcs })
+    }
+
+    /// Whether every instruction keeps its address.
+    fn is_identity(&self) -> bool {
+        self.pcs
+            .iter()
+            .zip(0u32..)
+            .all(|(&pc, index)| pc == Image::TEXT_BASE + index * Insn::SIZE)
+    }
+}
+
+/// [`simulate_lanes`] for lanes timed under different code layouts of
+/// one program: `lanes[i]` pairs a configuration with the
+/// [`Relabelling`] from `image` to the lane's own layout, `None` (or
+/// an identity relabelling) for `image`'s layout. Lane `i`'s result
+/// equals [`simulate`] of its own layout's image under its
+/// configuration.
+///
+/// `image` is executed once. The branch target buffer and its
+/// mispredict count are per layout, since the buffer is indexed by pc;
+/// everything else [`simulate_lanes`] shares is shared across layouts
+/// too. A group with one layout gets no relabelling and no text-range
+/// check.
+///
+/// # Errors
+///
+/// What [`simulate_lanes`] returns; typed errors carry `image`'s
+/// addresses, so lane 0 running `image` gets its standalone error. A
+/// relabelling of another text length is [`SimError::LaneMismatch`]
+/// naming its lane. With more than one layout, also
+/// [`SimError::LaneMismatch`] naming
+/// the first lane whose layout differs from `image`'s when the group
+/// collects a profile (counts are per text index), and at the end of a
+/// straight-line run (a taken transfer or the exit) in which the guest
+/// accessed its own text as data (the one way a program can see its
+/// layout) or reached a slot that may flow to the next slot of `image`
+/// where some layout does not place that slot next.
+pub fn simulate_layouts(
+    image: &Image,
+    lanes: &[(SimConfig, Option<&Relabelling>)],
+) -> Result<Vec<RunResult>, SimError> {
+    let Some((first, _)) = lanes.first() else {
         return Ok(Vec::new());
     };
-    if let Some(lane) = configs.iter().position(|config| !shares_core(first, config)) {
+    if let Some(lane) = lanes.iter().position(|(config, _)| !shares_core(first, config)) {
         return Err(SimError::LaneMismatch { lane });
     }
+    // Distinct layouts in first-seen order (`None` is `image`'s own),
+    // and each lane's.
+    let mut layouts: Vec<Option<&[u32]>> = Vec::new();
+    let mut layout_of = Vec::with_capacity(lanes.len());
+    for (lane, (_, relabel)) in lanes.iter().enumerate() {
+        let pcs = relabel.filter(|r| !r.is_identity()).map(|r| r.pcs.as_slice());
+        if pcs.is_some_and(|pcs| pcs.len() != image.text.len()) {
+            return Err(SimError::LaneMismatch { lane });
+        }
+        layout_of.push(layouts.iter().position(|&l| l == pcs).unwrap_or_else(|| {
+            layouts.push(pcs);
+            layouts.len() - 1
+        }));
+    }
+    // The first lane whose layout is not `image`'s.
+    let relabelled = layout_of.iter().position(|&layout| layouts[layout].is_some());
+    if let (Some(lane), true) = (relabelled, first.collect_profile) {
+        return Err(SimError::LaneMismatch { lane });
+    }
+
+    // Lanes contiguous by layout, so each layout's lanes are one slice.
+    let mut order: Vec<usize> = (0..lanes.len()).collect();
+    order.sort_by_key(|&lane| layout_of[lane]);
+    let mut end = 0;
+    let mut views: Vec<View> = (0..layouts.len())
+        .map(|layout| {
+            end += layout_of.iter().filter(|&&l| l == layout).count();
+            View::new(first, layouts[layout], end)
+        })
+        .collect();
+    let mut ordered: Vec<Lane> = order.iter().map(|&lane| Lane::new(&lanes[lane].0)).collect();
+
     let machine = Machine::boot(image);
-    let mut lanes: Vec<Lane> = configs.iter().map(Lane::new).collect();
-    let shared = execute(machine, image, first, &mut lanes, &mut NullSink)?;
-    Ok(lanes.iter().map(|lane| lane.result(&shared)).collect())
+    let shared = if let Some(lane) = relabelled {
+        execute::<_, _, _, true>(machine, image, first, &mut views, &mut ordered, &mut NullSink)
+            // The loop's only mismatch: a layout would not reproduce
+            // the execution.
+            .map_err(|error| match error {
+                SimError::LaneMismatch { .. } => SimError::LaneMismatch { lane },
+                error => error,
+            })?
+    } else {
+        execute::<_, _, _, false>(machine, image, first, &mut views, &mut ordered, &mut NullSink)?
+    };
+    let mut results: Vec<Option<RunResult>> = vec![None; lanes.len()];
+    for (&lane, state) in order.iter().zip(&ordered) {
+        results[lane] = Some(state.result(&shared, views[layout_of[lane]].mispredicts));
+    }
+    Ok(results.into_iter().flatten().collect())
 }
 
 /// Whether `config` agrees with `first` on everything lanes share:
@@ -387,6 +520,57 @@ fn shares_core(first: &SimConfig, config: &SimConfig) -> bool {
         ..*config
     };
     with_first_fetch_side == *first
+}
+
+/// One code layout of a lane group: the pc its lanes fetch at and the
+/// branch target buffer they share.
+#[derive(Debug)]
+struct View<'a> {
+    /// The executed image's text index → this layout's pc; `None` for
+    /// the executed image's own layout.
+    pcs: Option<&'a [u32]>,
+    /// This layout's pc less the executed pc. Chains keep fall-through
+    /// and call-return pairs adjacent, so it changes only at a taken
+    /// transfer.
+    offset: u32,
+    /// The previous instruction's pc in this layout: the last pending
+    /// fetch of a lane that leaves its line on this instruction.
+    last_pc: u32,
+    btb: Btb,
+    mispredicts: u64,
+    /// One past this layout's last lane in the group's lane slice.
+    end: usize,
+}
+
+impl<'a> View<'a> {
+    fn new(config: &SimConfig, pcs: Option<&'a [u32]>, end: usize) -> View<'a> {
+        View { pcs, offset: 0, last_pc: 0, btb: Btb::new(config.btb_entries), mispredicts: 0, end }
+    }
+
+    /// Re-reads the layout's pc offset at an executed pc (the entry
+    /// point, or a taken transfer's target inside text).
+    #[inline]
+    fn relabel(&mut self, pc: u32) {
+        if let Some(pcs) = self.pcs {
+            let index = pc.wrapping_sub(Image::TEXT_BASE) / Insn::SIZE;
+            if let Some(&own) = pcs.get(index as usize) {
+                self.offset = own.wrapping_sub(pc);
+            }
+        }
+    }
+
+    /// A taken transfer from `from` to `to` (this layout's pcs): the
+    /// branch penalty when the layout's BTB did not predict it.
+    #[inline]
+    fn taken(&mut self, from: u32, to: u32, penalty: u32) -> u32 {
+        if self.btb.predicts(from, to) {
+            0
+        } else {
+            self.mispredicts += 1;
+            self.btb.learn(from, to);
+            penalty
+        }
+    }
 }
 
 /// One timing lane: the state that depends on the lane's own fetch
@@ -427,7 +611,6 @@ struct Shared {
     checksum: u64,
     output: Vec<u8>,
     instructions: u64,
-    mispredicts: u64,
     insn_counts: Option<Vec<u64>>,
     data: DataSide,
 }
@@ -457,7 +640,8 @@ impl Lane {
         }
     }
 
-    fn result(&self, shared: &Shared) -> RunResult {
+    /// The lane's result; `mispredicts` is its layout's count.
+    fn result(&self, shared: &Shared, mispredicts: u64) -> RunResult {
         let degrade = self.degrade.as_ref();
         RunResult {
             exit_code: shared.exit_code,
@@ -472,7 +656,7 @@ impl Lane {
             },
             itlb: *self.fetch.itlb_stats(),
             dtlb: *shared.data.dtlb_stats(),
-            branch_mispredicts: shared.mispredicts,
+            branch_mispredicts: mispredicts,
             insn_counts: shared.insn_counts.clone(),
             faults: self.fetch.fault_stats(),
             detection: self.fetch.detection_stats(),
@@ -485,10 +669,12 @@ impl Lane {
 }
 
 /// The one simulation loop: executes `image` (booted as `machine`)
-/// architecturally once and fans each instruction out to every lane.
-/// `config` supplies the shared parameters (lane 0's configuration;
-/// [`simulate_lanes`] has checked the others agree). The sink observes
-/// lane 0.
+/// architecturally once and fans each instruction out to every lane,
+/// which fetches it and times it in one pass, its clock and scoreboard
+/// hot between the two. `config` supplies the shared parameters (lane
+/// 0's configuration; [`simulate_layouts`] has checked the others
+/// agree). `lanes` are stored contiguous by layout, each `views` entry
+/// ending its layout's slice. The sink observes lane 0.
 ///
 /// A fetch from the line of a lane's last core fetch is a known
 /// one-cycle hit (§4.2's same-line rule), so a lane without a
@@ -498,19 +684,32 @@ impl Lane {
 /// [`FetchSide`] just before the lane's next core fetch and at exit. A
 /// sink that sees each fetch or samples intervals puts every lane on
 /// the per-fetch path.
-fn execute<S: TraceSink, L: AsMut<[Lane]>>(
+///
+/// With `RELABEL` (some layout of the group is relabelled), a
+/// relabelled layout's lanes fetch at the executed pc plus the layout's
+/// offset, which is re-read from its relabelling at each taken
+/// transfer. The run then ends in [`SimError::LaneMismatch`] (its lane
+/// left for the caller to name) where a layout would not reproduce the
+/// execution: after a data access into the text, or once control has
+/// reached a *split* slot, one that may flow to the next slot of the
+/// executed image where some layout does not place that slot next.
+/// Both are checked per straight-line run, at its taken transfer or
+/// exit, not per instruction.
+fn execute<'a, S: TraceSink, V: AsMut<[View<'a>]>, L: AsMut<[Lane]>, const RELABEL: bool>(
     mut machine: Machine,
     image: &Image,
     config: &SimConfig,
+    views: &mut V,
     lanes: &mut L,
     sink: &mut S,
 ) -> Result<Shared, SimError> {
-    // Generic over the container so `simulate`'s one-lane array
-    // compiles to a loop of known length one, as fast as a dedicated
-    // single-lane loop.
+    // Generic over the containers so `simulate`'s one-view, one-lane
+    // arrays compile to loops of known length one, and over `RELABEL`
+    // so a one-layout group compiles without the relabelling and its
+    // guards: as fast as a dedicated single-layout loop.
+    let views = views.as_mut();
     let lanes = lanes.as_mut();
     let mut data = DataSide::new(&config.mem);
-    let mut btb = Btb::new(config.btb_entries);
     let mut insn_counts = config.collect_profile.then(|| vec![0u64; image.text.len()]);
 
     let text = &image.text;
@@ -521,7 +720,6 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
     let mut checksum: u64 = 0;
     let mut reports: u64 = 0;
     let mut output = Vec::new();
-    let mut mispredicts: u64 = 0;
     // The current instruction's data accesses, as `step` writes them,
     // and their address halves.
     let mut mem: AccessBuffer = [(0, false); 16];
@@ -536,10 +734,35 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
     let mut sample_snapshot = FetchStats::new();
     // The registers each text slot reads, for the scoreboard.
     let sources: Vec<u16> = text.iter().map(|&insn| source_mask(insn)).collect();
+    // With `RELABEL`: the split slots before each slot, so a straight
+    // run from slot `a` through slot `b` reached one iff
+    // `splits[b + 1] != splits[a]`; the count at the current run's
+    // first slot; and whether the guest has read or written its text.
+    let mut splits: Vec<u32> = Vec::new();
+    if RELABEL {
+        splits.reserve(text.len() + 1);
+        splits.push(0);
+        for (index, insn) in text.iter().enumerate() {
+            let split = index + 1 < text.len()
+                && insn.falls_through()
+                && views.iter().any(|view| {
+                    view.pcs
+                        .is_some_and(|pcs| pcs[index + 1] != pcs[index].wrapping_add(Insn::SIZE))
+                });
+            splits.push(splits[index] + u32::from(split));
+        }
+    }
+    let mut run_splits = 0;
+    let mut touched_text = false;
     let per_line = !sink.enabled() && sample_period.is_none();
-    // The previous instruction's pc: the last pending fetch of a lane
-    // that leaves its line on this instruction.
-    let mut last_pc = 0;
+    let first_lane: *const Lane = lanes.as_ptr();
+    if RELABEL {
+        for view in views.iter_mut() {
+            view.relabel(machine.pc);
+        }
+        let entry = machine.pc.wrapping_sub(text_base) / Insn::SIZE;
+        run_splits = splits.get(entry as usize).copied().unwrap_or(0);
+    }
 
     loop {
         if instructions >= config.max_instructions {
@@ -559,47 +782,6 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
         }
         let insn = text[index as usize];
 
-        // Fetch: I-TLB + I-cache (stalls include miss fills and
-        // way-hint penalties), on every lane.
-        for lane in lanes.iter_mut() {
-            if lane.repeat == Some(pc & lane.line_mask) {
-                lane.pending += 1;
-                lane.clock.cycles += 1;
-                continue;
-            }
-            lane.flush(last_pc);
-            lane.core_fetches += 1;
-            let fetch = if sink.enabled() {
-                let (timing, mut event) = lane.fetch.fetch_traced(pc);
-                event.cycle = lane.clock.cycles;
-                sink.record_fetch(&event);
-                timing
-            } else {
-                lane.fetch.fetch(pc)
-            };
-            lane.clock.cycles += u64::from(fetch.cycles);
-            degrade_window(&mut lane.degrade, &mut lane.fetch);
-            if per_line && lane.degrade.is_none() {
-                lane.repeat = lane.fetch.repeat_line();
-            }
-        }
-        last_pc = pc;
-
-        if let (Some(period), Some(lane)) = (sample_period, lanes.first()) {
-            let cycles = lane.clock.cycles;
-            if cycles - sample_start >= period {
-                let now = *lane.fetch.fetch_stats();
-                sink.record_interval(IntervalSample {
-                    start_cycle: sample_start,
-                    end_cycle: cycles,
-                    counters: FetchCounters::from(&now.delta(&sample_snapshot)),
-                });
-                sample_start = cycles;
-                sample_snapshot = now;
-                sample_period = sink.interval_cycles();
-            }
-        }
-
         if let Some(counts) = insn_counts.as_mut() {
             counts[index as usize] += 1;
         }
@@ -608,33 +790,97 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
         let outcome = step(&mut machine, insn, pc, &mut mem)?;
         instructions += 1;
 
-        // The data side's address half and the branch prediction are
-        // shared facts of the one execution; each lane then times them
-        // against its own clock.
+        // The data side's address half is a shared fact of the one
+        // execution; each lane then times it against its own clock.
         let count = usize::from(outcome.accesses);
         let accesses = &mut accesses[..count];
         for (access, &(addr, write)) in accesses.iter_mut().zip(&mem[..count]) {
+            if RELABEL {
+                touched_text |= addr.wrapping_sub(text_base) / Insn::SIZE < text_len;
+            }
             *access = data.probe(addr, write);
         }
-        let branch_penalty = match outcome.control {
-            Control::Branch { taken: true, target } if !btb.predicts(pc, target) => {
-                mispredicts += 1;
-                btb.learn(pc, target);
-                config.branch_penalty
-            }
-            _ => 0,
+        // Branch prediction is per layout: its BTB is indexed by the
+        // layout's own pcs.
+        let taken = match outcome.control {
+            Control::Branch { taken: true, target } => Some(target),
+            _ => None,
         };
+        if RELABEL {
+            if let Some(target) = taken {
+                // The straight run ends here: did it see its layout?
+                if touched_text || splits[index as usize + 1] != run_splits {
+                    return Err(SimError::LaneMismatch { lane: 0 });
+                }
+                let next = target.wrapping_sub(text_base) / Insn::SIZE;
+                run_splits = splits.get(next as usize).copied().unwrap_or(run_splits);
+            }
+        }
+        // Each lane fetches the instruction at its layout's pc (I-TLB
+        // and I-cache: stalls include miss fills and way-hint
+        // penalties), then times it.
         let insn_sources = sources[index as usize];
-        for lane in lanes.iter_mut() {
-            retire(
-                &mut lane.clock,
-                &mut lane.buffer,
-                insn_sources,
-                &outcome,
-                accesses,
-                branch_penalty,
-                config,
-            );
+        let mut start = 0;
+        for view in views.iter_mut() {
+            let own_pc = pc.wrapping_add(view.offset);
+            let branch_penalty = match taken {
+                Some(target) => {
+                    if RELABEL {
+                        view.relabel(target);
+                    }
+                    view.taken(own_pc, target.wrapping_add(view.offset), config.branch_penalty)
+                }
+                None => 0,
+            };
+            for lane in &mut lanes[start..view.end] {
+                if lane.repeat == Some(own_pc & lane.line_mask) {
+                    lane.pending += 1;
+                    lane.clock.cycles += 1;
+                } else {
+                    lane.flush(view.last_pc);
+                    lane.core_fetches += 1;
+                    let fetch = if sink.enabled() {
+                        let (timing, mut event) = lane.fetch.fetch_traced(own_pc);
+                        event.cycle = lane.clock.cycles;
+                        sink.record_fetch(&event);
+                        timing
+                    } else {
+                        lane.fetch.fetch(own_pc)
+                    };
+                    lane.clock.cycles += u64::from(fetch.cycles);
+                    degrade_window(&mut lane.degrade, &mut lane.fetch);
+                    if per_line && lane.degrade.is_none() {
+                        lane.repeat = lane.fetch.repeat_line();
+                    }
+                }
+                if let Some(period) = sample_period {
+                    // The sink samples lane 0 between its fetch and
+                    // its timing.
+                    let cycles = lane.clock.cycles;
+                    if std::ptr::eq(&*lane, first_lane) && cycles - sample_start >= period {
+                        let now = *lane.fetch.fetch_stats();
+                        sink.record_interval(IntervalSample {
+                            start_cycle: sample_start,
+                            end_cycle: cycles,
+                            counters: FetchCounters::from(&now.delta(&sample_snapshot)),
+                        });
+                        sample_start = cycles;
+                        sample_snapshot = now;
+                        sample_period = sink.interval_cycles();
+                    }
+                }
+                retire(
+                    &mut lane.clock,
+                    &mut lane.buffer,
+                    insn_sources,
+                    &outcome,
+                    accesses,
+                    branch_penalty,
+                    config,
+                );
+            }
+            view.last_pc = own_pc;
+            start = view.end;
         }
 
         match outcome.control {
@@ -646,8 +892,15 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
                 machine.pc = pc.wrapping_add(4);
                 match number {
                     syscall::EXIT => {
-                        for lane in lanes.iter_mut() {
-                            lane.flush(pc);
+                        if RELABEL && (touched_text || splits[index as usize + 1] != run_splits) {
+                            return Err(SimError::LaneMismatch { lane: 0 });
+                        }
+                        let mut start = 0;
+                        for view in views.iter() {
+                            for lane in &mut lanes[start..view.end] {
+                                lane.flush(view.last_pc);
+                            }
+                            start = view.end;
                         }
                         if let (Some(_), Some(lane)) = (sample_period, lanes.first()) {
                             // Flush the final partial interval so the
@@ -666,7 +919,6 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
                             checksum,
                             output,
                             instructions,
-                            mispredicts,
                             insn_counts,
                             data,
                         });
@@ -680,6 +932,9 @@ fn execute<S: TraceSink, L: AsMut<[Lane]>>(
                 }
             }
         }
+        // A relabelled layout places the next slot elsewhere: its own
+        // image would fall through, or return from a call, to other
+        // code.
     }
 }
 
@@ -1285,6 +1540,114 @@ mod tests {
         assert!(lanes[2].demotions > 0 && lanes[7].faults.total() > 0);
     }
 
+    /// Two chains: `_start`'s loop calls `f`, which follows it in the
+    /// natural layout (the `b` ends `_start`'s chain). Under either
+    /// layout the exit repeats its line, so lanes flush at exit.
+    const TWO_CHAINS: &str = "_start:
+                mov r4, #300
+                mov r0, #0
+            .Ll: bl f
+                add r0, r0, r4
+                subs r4, r4, #1
+                bne .Ll
+                swi #2
+                mov r0, #0
+                mov r1, #0
+                swi #0
+                b _start
+            f:  add r0, r0, #1
+                add r0, r0, #2
+                add r0, r0, #3
+                tst r4, #1
+                bxeq lr
+                add r0, r0, #4
+                add r0, r0, #5
+                bx lr";
+
+    fn link_under(src: &str, layout: Layout) -> wp_linker::LinkOutput {
+        let module = wp_isa::assemble("t", src).expect("asm");
+        Linker::new().with_module(module).link(layout, &Profile::empty()).expect("link")
+    }
+
+    /// `src` linked naturally and under a random layout that moves its
+    /// chains.
+    fn two_layouts(src: &str) -> (wp_linker::LinkOutput, wp_linker::LinkOutput) {
+        let natural = link_under(src, Layout::Natural);
+        let moved = (0..64)
+            .map(|seed| link_under(src, Layout::Random(seed)))
+            .find(|out| out.natural_of_final != natural.natural_of_final)
+            .expect("some seed moves a chain");
+        (natural, moved)
+    }
+
+    #[test]
+    fn relabelled_lanes_equal_runs_of_their_own_images() {
+        let (natural, moved) = two_layouts(TWO_CHAINS);
+        for (executed, other) in [(&natural, &moved), (&moved, &natural)] {
+            let relabel =
+                Relabelling::compose(&executed.natural_of_final, &other.final_of_natural).unwrap();
+            // A four-entry BTB: the natural layout aliases the call
+            // with `f`'s first return, the moved one does not.
+            let configs: Vec<SimConfig> = clean_configs(CacheGeometry::new(256, 2, 32))
+                .into_iter()
+                .map(|config| SimConfig { btb_entries: 4, ..config })
+                .collect();
+            let lanes: Vec<(SimConfig, Option<&Relabelling>)> = configs
+                .iter()
+                .flat_map(|&config| [(config, Some(&relabel)), (config, None)])
+                .collect();
+            let results = simulate_layouts(&executed.image, &lanes).expect("lanes");
+            for ((config, relabel), result) in lanes.iter().zip(&results) {
+                let image = if relabel.is_some() { &other.image } else { &executed.image };
+                assert_eq!(result, &per_fetch(image, config), "{:?}", config.mem.icache);
+            }
+            assert_ne!(results[0].branch_mispredicts, results[1].branch_mispredicts);
+        }
+    }
+
+    #[test]
+    fn a_guest_that_could_see_its_layout_stops_a_relabelled_group() {
+        // Loads a word of its own text: the value depends on the layout.
+        let reads_text = format!("{TWO_CHAINS}\n_peek: ldr r5, =f\n ldr r5, [r5]\n bx lr");
+        let reads_text = reads_text.replace(".Ll: bl f", ".Ll: bl f\n bl _peek");
+        let (natural, moved) = two_layouts(&reads_text);
+        let relabel =
+            Relabelling::compose(&natural.natural_of_final, &moved.final_of_natural).unwrap();
+        let cfg = config();
+        let lanes = [(cfg, None), (cfg, Some(&relabel))];
+        match simulate_layouts(&natural.image, &lanes) {
+            Err(SimError::LaneMismatch { lane: 1 }) => {}
+            other => panic!("a text load must stop a relabelled group, got {other:?}"),
+        }
+        let alone = simulate(&natural.image, &cfg).expect("runs alone");
+        assert_eq!(simulate_lanes(&natural.image, &[cfg, cfg]).expect("one layout")[1], alone);
+        // An identity relabelling is the executed layout: no guard.
+        let same = Relabelling::compose(&natural.natural_of_final, &natural.final_of_natural);
+        assert_eq!(simulate_layouts(&natural.image, &[(cfg, same.as_ref())]).unwrap()[0], alone);
+
+        // Profile counts are per executed text slot.
+        let (natural, moved) = two_layouts(TWO_CHAINS);
+        let relabel =
+            Relabelling::compose(&natural.natural_of_final, &moved.final_of_natural).unwrap();
+        let profiled = config().with_profile();
+        match simulate_layouts(&natural.image, &[(profiled, None), (profiled, Some(&relabel))]) {
+            Err(SimError::LaneMismatch { lane: 1 }) => {}
+            other => panic!("profiling a relabelled group must be a typed error, got {other:?}"),
+        }
+
+        // A relabelling that splits a fall-through pair would fetch
+        // other code than the guest runs next.
+        let identity: Vec<usize> = (0..natural.image.text.len()).collect();
+        let mut order = identity.clone();
+        order.swap(1, 2);
+        let split = Relabelling::compose(&identity, &order).unwrap();
+        match simulate_layouts(&natural.image, &[(cfg, None), (cfg, Some(&split))]) {
+            Err(SimError::LaneMismatch { lane: 1 }) => {}
+            other => panic!("a split fall-through must be a typed error, got {other:?}"),
+        }
+        assert!(Relabelling::compose(&order, &order[1..]).is_none());
+    }
+
     #[test]
     fn null_sink_runs_call_the_fetch_core_only_on_line_changes() {
         // Lane-level core-fetch counts: under a sink that sees no
@@ -1292,8 +1655,17 @@ mod tests {
         // change; a sink that sees fetches needs it once per
         // instruction.
         fn core_fetches<S: TraceSink>(image: &Image, config: &SimConfig, sink: &mut S) -> u64 {
+            let mut views = [View::new(config, None, 1)];
             let mut lanes = [Lane::new(config)];
-            execute(Machine::boot(image), image, config, &mut lanes, sink).expect("run");
+            execute::<_, _, _, false>(
+                Machine::boot(image),
+                image,
+                config,
+                &mut views,
+                &mut lanes,
+                sink,
+            )
+            .expect("run");
             lanes[0].core_fetches
         }
         let image = straight_line_loop();

@@ -55,6 +55,10 @@ if [[ "$quick" -eq 1 ]]; then
     cargo test -q -p wp-sim --lib mixed_lane_groups_equal_their_per_fetch_runs
     cargo test -q -p wp-sim --lib null_sink_runs_call_the_fetch_core_only_on_line_changes
 
+    echo "== relabelled lanes equal their own images; a guest that could see its layout stops them =="
+    cargo test -q -p wp-sim --lib relabelled_lanes_equal_runs_of_their_own_images
+    cargo test -q -p wp-sim --lib a_guest_that_could_see_its_layout_stops_a_relabelled_group
+
     echo "== layout competition smoke (six passes, both schemes) =="
     lc_dir="$(mktemp -d)"
     WP_BENCH_DIR="$lc_dir" cargo run --release -q --bin layout_compare -- --quick

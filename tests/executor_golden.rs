@@ -505,7 +505,6 @@ fn error_words(error: &SimError) -> Vec<u64> {
     match *error {
         SimError::Exec(ExecError::Mem(fault)) => vec![1, fault.addr.into(), fault.write.into()],
         SimError::Exec(ExecError::PcOperand { addr }) => vec![2, addr.into()],
-        SimError::Exec(ExecError::WildJump { target }) => vec![3, target.into()],
         SimError::InstructionLimit(limit) => vec![4, limit],
         SimError::UnknownSyscall { number, addr } => vec![5, number.into(), addr.into()],
         SimError::FetchOutOfText { pc } => vec![6, pc.into()],
